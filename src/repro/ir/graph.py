@@ -310,3 +310,58 @@ class DFG:
 
     def __repr__(self) -> str:
         return f"DFG({self.name!r}, nodes={self.num_nodes}, edges={self.num_edges})"
+
+
+def strongly_connected_components(
+        nodes: Iterable[int],
+        edges: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """Strongly connected components of a directed graph.
+
+    Iterative Tarjan: one depth-first pass with an explicit stack, so deep
+    graphs never hit the recursion limit.  ``edges`` are ``(src, dst)``
+    pairs; endpoints missing from ``nodes`` are added.  Every node lands
+    in exactly one component (a node on no cycle is a singleton), and
+    components come out in reverse topological order of the condensation.
+    """
+    successors: dict[int, list[int]] = {node: [] for node in nodes}
+    for src, dst in edges:
+        successors.setdefault(src, []).append(dst)
+        successors.setdefault(dst, [])
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[set[int]] = []
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors[child])))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component: set[int] = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components

@@ -7,14 +7,13 @@ against already-placed neighbours, and full or incremental edge routing.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG, Route
-from repro.arch.topology import manhattan
 from repro.ir.analysis import critical_path_length, topological_order
-from repro.ir.graph import DFG
-from repro.mapping.router import min_transport_latency, route_edge
+from repro.ir.graph import DFG, strongly_connected_components
+from repro.mapping.router import (
+    fu_hop_table, route_edge, transport_latency_table,
+)
 
 
 def schedule_horizon(dfg: DFG, ii: int) -> int:
@@ -48,12 +47,10 @@ def modulo_asap(dfg: DFG, ii: int) -> dict[int, int] | None:
 def recurrence_nodes(dfg: DFG) -> set[int]:
     """Nodes on loop-carried dependence circuits (SCCs of the full edge
     graph plus self-recurrences)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(node.node_id for node in dfg.nodes)
-    for edge in dfg.edges:
-        graph.add_edge(edge.src, edge.dst)
     members: set[int] = set()
-    for component in nx.strongly_connected_components(graph):
+    for component in strongly_connected_components(
+            (node.node_id for node in dfg.nodes),
+            ((edge.src, edge.dst) for edge in dfg.edges)):
         if len(component) > 1:
             members.update(component)
     for edge in dfg.edges:
@@ -86,6 +83,7 @@ def timing_feasible(dfg: DFG, arch: Architecture, ii: int,
     ordering edges need span >= 1.  Spans include the modulo offset
     ``distance * II`` for loop-carried dependences.
     """
+    latency = transport_latency_table(arch)
     for edge in dfg.in_edges(node_id):
         if edge.src == node_id:
             src_fu, src_cycle = fu_id, cycle
@@ -94,8 +92,7 @@ def timing_feasible(dfg: DFG, arch: Architecture, ii: int,
         else:
             continue
         arrival = cycle + edge.distance * ii
-        needed = 1 if edge.is_ordering \
-            else min_transport_latency(arch, src_fu, fu_id)
+        needed = 1 if edge.is_ordering else latency[src_fu][fu_id]
         if arrival - src_cycle < needed:
             return False
     for edge in dfg.out_edges(node_id):
@@ -105,23 +102,36 @@ def timing_feasible(dfg: DFG, arch: Architecture, ii: int,
             continue
         dst_fu, dst_cycle = placement[edge.dst]
         arrival = dst_cycle + edge.distance * ii
-        needed = 1 if edge.is_ordering \
-            else min_transport_latency(arch, fu_id, dst_fu)
+        needed = 1 if edge.is_ordering else latency[fu_id][dst_fu]
         if arrival - cycle < needed:
             return False
     return True
 
 
-def proximity_score(arch: Architecture, placement, dfg: DFG,
-                    node_id: int, fu_id: int) -> int:
-    """Total mesh distance to placed neighbours (placement heuristic)."""
-    tile = arch.fu(fu_id).tile
-    score = 0
-    for other in set(dfg.predecessors(node_id)) | set(dfg.successors(node_id)):
-        if other in placement and other != node_id:
-            other_tile = arch.fu(placement[other][0]).tile
-            score += manhattan(tile, other_tile, arch.cols)
-    return score
+def _node_edge_tables(dfg: DFG, ii: int):
+    """Per-node edge tuples for list scheduling at one II.
+
+    Returns ``(ins, outs, loops, neighbours)``, each keyed by node:
+    ``(source, distance * II, is_ordering)`` per in-edge and ``(sink,
+    distance * II, is_ordering)`` per out-edge (self edges excluded),
+    ``(distance * II, is_ordering)`` per self edge, and the set of other
+    endpoints of all of them.
+    """
+    node_ids = [node.node_id for node in dfg.nodes]
+    ins: dict[int, list] = {node_id: [] for node_id in node_ids}
+    outs: dict[int, list] = {node_id: [] for node_id in node_ids}
+    loops: dict[int, list] = {node_id: [] for node_id in node_ids}
+    neighbours: dict[int, set[int]] = {node_id: set() for node_id in node_ids}
+    for edge in dfg.edges:
+        delay = edge.distance * ii
+        if edge.src == edge.dst:
+            loops[edge.src].append((delay, edge.is_ordering))
+            continue
+        ins[edge.dst].append((edge.src, delay, edge.is_ordering))
+        outs[edge.src].append((edge.dst, delay, edge.is_ordering))
+        neighbours[edge.dst].add(edge.src)
+        neighbours[edge.src].add(edge.dst)
+    return ins, outs, loops, neighbours
 
 
 def initial_placement(dfg: DFG, arch: Architecture, mrrg: MRRG,
@@ -136,44 +146,60 @@ def initial_placement(dfg: DFG, arch: Architecture, mrrg: MRRG,
     ``circuit_lateness`` delays recurrence-circuit nodes past their
     modulo-ASAP time, buying transport headroom for the feed-in logic —
     mappers sweep it across restarts when circuits are hard to close.
+
+    Per FU the feasible cycles form one window: placed producers set its
+    start, placed consumers (loop-carried edges to earlier nodes) its end,
+    and a self edge either fits every cycle or none.  The first free cycle
+    in the window is the one :func:`timing_feasible` would accept first.
     """
     placement: dict[int, tuple[int, int]] = {}
-    horizon = schedule_horizon(dfg, mrrg.ii)
-    asap = modulo_asap(dfg, mrrg.ii)
+    ii = mrrg.ii
+    horizon = schedule_horizon(dfg, ii)
+    asap = modulo_asap(dfg, ii)
     if asap is None:
         return None     # II below the recurrence bound
     late_nodes = recurrence_nodes(dfg) if circuit_lateness else set()
+    latency = transport_latency_table(arch)
+    hops = fu_hop_table(arch)
+    fu_free = mrrg.fu_free
+    ins, outs, loops, neighbours = _node_edge_tables(dfg, ii)
     for node_id in placement_order(dfg):
-        node = dfg.node(node_id)
-        candidates = list(arch.fus_supporting(node.op))
+        candidates = list(arch.fus_supporting(dfg.node(node_id).op))
         rng.shuffle(candidates)
+        producers = [(placement[src], delay, ordering)
+                     for src, delay, ordering in ins[node_id]
+                     if src in placement]
+        consumers = [(placement[dst], delay, ordering)
+                     for dst, delay, ordering in outs[node_id]
+                     if dst in placement]
+        near = [placement[other][0] for other in neighbours[node_id]
+                if other in placement]
         best: tuple[int, int] | None = None
         best_key: tuple[int, int] | None = None
         node_asap = asap[node_id]
         if node_id in late_nodes:
             node_asap += circuit_lateness
         for fu in candidates:
+            fu_id = fu.fu_id
+            row = latency[fu_id]
             earliest = node_asap
-            for edge in dfg.in_edges(node_id):
-                if edge.src not in placement or edge.src == node_id:
+            for (src_fu, src_cycle), delay, ordering in producers:
+                needed = 1 if ordering else latency[src_fu][fu_id]
+                earliest = max(earliest, src_cycle + needed - delay)
+            stop = horizon
+            for (dst_fu, dst_cycle), delay, ordering in consumers:
+                needed = 1 if ordering else row[dst_fu]
+                stop = min(stop, dst_cycle + delay - needed + 1)
+            for delay, ordering in loops[node_id]:
+                if delay < (1 if ordering else row[fu_id]):
+                    stop = 0
+            for cycle in range(max(earliest, 0), stop):
+                if not fu_free(fu_id, cycle):
                     continue
-                src_fu, src_cycle = placement[edge.src]
-                needed = 1 if edge.is_ordering \
-                    else min_transport_latency(arch, src_fu, fu.fu_id)
-                earliest = max(
-                    earliest,
-                    src_cycle + needed - edge.distance * mrrg.ii,
-                )
-            for cycle in range(max(earliest, 0), horizon):
-                if not mrrg.fu_free(fu.fu_id, cycle):
-                    continue
-                if not timing_feasible(dfg, arch, mrrg.ii, placement,
-                                       node_id, fu.fu_id, cycle):
-                    continue
-                key = (cycle, proximity_score(arch, placement, dfg,
-                                              node_id, fu.fu_id))
+                hop_row = hops[fu_id]
+                key = (cycle, sum(hop_row[other] for other in near))
                 if best_key is None or key < best_key:
-                    best = (fu.fu_id, cycle)
+                    best = (fu_id, cycle)
                     best_key = key
                 break   # first feasible cycle on this FU is its best
         if best is None:

@@ -33,7 +33,7 @@ from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import mapping_cost, modulo_asap, schedule_horizon
 from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
-from repro.mapping.router import min_transport_latency, route_edge
+from repro.mapping.router import route_edge, transport_latency_table
 from repro.motifs.hierarchy import HierarchicalDFG, build_hierarchy
 from repro.motifs.schedules import schedule_templates
 from repro.motifs.types import MotifKind
@@ -234,7 +234,14 @@ def singleton_hierarchy(dfg: DFG) -> HierarchicalDFG:
 
 
 class _State:
-    """Mutable mapping state for one II attempt."""
+    """Mutable mapping state for one II attempt.
+
+    Everything the candidate scorers ask of the DFG is derived once here,
+    as per-group tables: incident edges, external in- and out-edges, ASAP
+    values and singleton FU lists.  Transport latencies come from the
+    fabric's FU x FU table, so scoring a candidate is tuple walks and
+    index lookups.
+    """
 
     def __init__(self, dfg: DFG, arch: Architecture,
                  hierarchy: HierarchicalDFG, ii: int,
@@ -248,28 +255,53 @@ class _State:
         self.rng = rng
         self.mrrg = mrrg if mrrg is not None else MRRG(arch, ii)
         self.placement: dict[int, tuple[int, int]] = {}
+        #: Data-edge index -> committed route (ordering edges never route).
         self.routes: dict[int, Route] = {}
-        self.unrouted: set[int] = set()
         self.unplaced: set[int] = set()
         self.group_of_edge: dict[int, tuple[int, int]] = {}
         self.order = hierarchy.dependency_order()
         self.horizon = schedule_horizon(dfg, ii)
-        asap = modulo_asap(dfg, ii)
-        self.asap = asap if asap is not None else {
-            node.node_id: 0 for node in dfg.nodes
-        }
+        asap = modulo_asap(dfg, ii) or {}
         self.num_pcus = arch.rows * arch.cols
+        self._latency = transport_latency_table(arch)
         self._edge_list = dfg.edges
-        self._incident_groups: dict[int, list[int]] = {
-            g: [] for g in range(len(hierarchy.groups))
-        }
+        self._ordering_edges = [e for e in dfg.edges if e.is_ordering]
+        self._n_data_edges = len(dfg.edges) - len(self._ordering_edges)
+        groups = hierarchy.groups
+        #: group -> indices of the edges touching it.
+        self._incident_groups: list[list[int]] = [[] for _ in groups]
+        # group -> incident edges as (src, dst, distance * II, is_ordering);
+        # external in-/out-edges as (other endpoint, distance * II,
+        # is_ordering).
+        incident: list[list[tuple]] = [[] for _ in groups]
+        ext_in: list[list[tuple]] = [[] for _ in groups]
+        ext_out: list[list[tuple]] = [[] for _ in groups]
         for index, edge in enumerate(self._edge_list):
             sg = hierarchy.group_of(edge.src)
             dg = hierarchy.group_of(edge.dst)
             self.group_of_edge[index] = (sg, dg)
+            delay = edge.distance * ii
+            row = (edge.src, edge.dst, delay, edge.is_ordering)
             self._incident_groups[sg].append(index)
+            incident[sg].append(row)
             if dg != sg:
                 self._incident_groups[dg].append(index)
+                incident[dg].append(row)
+                ext_out[sg].append((edge.dst, delay, edge.is_ordering))
+                ext_in[dg].append((edge.src, delay, edge.is_ordering))
+        self._incident_edges = [tuple(rows) for rows in incident]
+        self._ext_in = [tuple(rows) for rows in ext_in]
+        self._ext_out = [tuple(rows) for rows in ext_out]
+        self._group_asap = [
+            max((asap.get(nid, 0) for nid in motif.nodes), default=0)
+            for motif in groups
+        ]
+        self._singleton_fus = [
+            None if motif.is_collective else tuple(
+                fu.fu_id for fu in arch.fus_supporting(
+                    dfg.node(motif.nodes[0]).op))
+            for motif in groups
+        ]
         #: group -> list of (node_id, fu_id, cycle) commitments.
         self.group_spots: dict[int, list[tuple[int, int, int]]] = {}
         self._last_failed: int | None = None
@@ -277,12 +309,6 @@ class _State:
     # ------------------------------------------------------------------
     # Candidate enumeration
     # ------------------------------------------------------------------
-    def _alu_fu(self, pcu: int, slot: int) -> int:
-        return pcu * _FUS_PER_PCU + slot
-
-    def _alsu_fu(self, pcu: int) -> int:
-        return pcu * _FUS_PER_PCU + 3
-
     def _pcus_for_kind(self, kind: MotifKind) -> list[int]:
         if self.hardwired is None:
             return list(range(self.num_pcus))
@@ -290,12 +316,6 @@ class _State:
             matching = [p for p, k in self.hardwired.items() if k is kind]
             return matching or list(range(self.num_pcus))
         return list(range(self.num_pcus))
-
-    def _singleton_candidates(self, group: int):
-        node = self.dfg.node(self.hierarchy.groups[group].nodes[0])
-        fus = [fu.fu_id for fu in self.arch.fus_supporting(node.op)]
-        self.rng.shuffle(fus)
-        return fus
 
     # ------------------------------------------------------------------
     # Group placement
@@ -306,13 +326,15 @@ class _State:
         routes; candidates are (PCU, template, start) for motifs and
         (FU, cycle) for singletons."""
         motif = self.hierarchy.groups[group]
+        group_asap = self._group_asap[group]
         candidates = []
         if motif.is_collective:
             templates = schedule_templates(motif.kind)[:8]
+            window = min(self.ii, 4)
             for pcu in self._pcus_for_kind(motif.kind):
-                earliest = max(self._earliest_start(group, pcu),
-                               self._group_asap(group))
-                window = min(self.ii, 4)
+                earliest = max(
+                    self._earliest_start(group, pcu * _FUS_PER_PCU),
+                    group_asap)
                 for template in templates:
                     for start in range(earliest,
                                        min(earliest + window, self.horizon)):
@@ -321,21 +343,26 @@ class _State:
                         if spots is None:
                             continue
                         estimate = self._estimate(group, spots)
-                        if estimate == float("inf"):
+                        if estimate == math.inf:
                             continue
                         candidates.append((estimate + 0.05 * start, spots))
         else:
-            for fu_id in self._singleton_candidates(group):
-                earliest = max(self._earliest_start_fu(group, fu_id),
-                               self._group_asap(group))
+            node_id = motif.nodes[0]
+            fu_free = self.mrrg.fu_free
+            fus = list(self._singleton_fus[group])
+            self.rng.shuffle(fus)
+            for fu_id in fus:
+                earliest = max(self._earliest_start(group, fu_id),
+                               group_asap)
+                stop = min(earliest + 2 * self.ii, self.horizon,
+                           self._deadline(group, fu_id) + 1)
                 found = 0
-                for cycle in range(earliest,
-                                   min(earliest + 2 * self.ii, self.horizon)):
-                    spots = self._singleton_spots(group, fu_id, cycle)
-                    if spots is None:
+                for cycle in range(earliest, stop):
+                    if not fu_free(fu_id, cycle):
                         continue
+                    spots = [(node_id, fu_id, cycle)]
                     estimate = self._estimate(group, spots)
-                    if estimate == float("inf"):
+                    if estimate == math.inf:
                         continue
                     candidates.append((estimate + 0.05 * cycle, spots))
                     found += 1
@@ -355,8 +382,8 @@ class _State:
             return self.place_group_best(group)
         pcus = self._pcus_for_kind(motif.kind)
         pcu = self.rng.choice(pcus)              # line 7: random candidate
-        earliest = max(self._earliest_start(group, pcu),
-                       self._group_asap(group))
+        earliest = max(self._earliest_start(group, pcu * _FUS_PER_PCU),
+                       self._group_asap[group])
         span = max(1, min(2 * self.ii, self.horizon - earliest))
         start0 = earliest + self.rng.randrange(span)
         candidates = []
@@ -366,7 +393,7 @@ class _State:
                 if spots is None:
                     continue
                 estimate = self._estimate(group, spots)
-                if estimate != float("inf"):
+                if estimate != math.inf:
                     candidates.append((estimate, spots))
         candidates.sort(key=lambda c: c[0])
         return self._commit_best(group,
@@ -375,31 +402,48 @@ class _State:
     def _commit_best(self, group: int, spot_lists) -> bool:
         """Trial-route each candidate (with rollback), then commit the one
         with the lowest full cost — congestion included, so repair moves
-        actually relieve overused wires."""
+        actually relieve overused wires.
+
+        A trial is not side-effect free: its :meth:`_negotiate` may reroute
+        routes already in ``self.routes``, and the rollback undoes only
+        the trial's own placement and routes.  So the winner's trial
+        routes are reused for the keep only when neither the winner's
+        trial nor any later one ripped anything up: then every rollback
+        restored the state the winner was trialled on exactly, and routing
+        the winner again would rebuild the very same routes.  Otherwise
+        the winner is placed and routed afresh.
+        """
         best_spots = None
-        best_total = float("inf")
+        best_routes: dict[int, Route] = {}
+        best_total = math.inf
+        reusable = False
         for spots in spot_lists:
-            total = self._commit_spots(group, spots, keep=False)
+            total, routes, ripped = self._commit_spots(group, spots,
+                                                       keep=False)
             if total is not None and total < best_total:
                 best_total = total
                 best_spots = spots
+                best_routes = routes
+                reusable = not ripped
+            elif ripped:
+                reusable = False
         if best_spots is None:
             return False
-        return self._commit_spots(group, best_spots, keep=True) is not None
+        if reusable:
+            self._place_spots(best_spots)
+            for route in best_routes.values():
+                self.mrrg.commit_route(route)
+            self._keep(group, best_spots, best_routes)
+            return True
+        return self._commit_spots(group, best_spots, keep=True)[0] \
+            is not None
 
     # ------------------------------------------------------------------
-    def _group_asap(self, group: int) -> int:
-        return max(
-            (self.asap.get(nid, 0)
-             for nid in self.hierarchy.groups[group].nodes),
-            default=0,
-        )
-
     def _collective_spots(self, group, pcu, template, start):
         motif = self.hierarchy.groups[group]
         spots = []
         for role, node_id in enumerate(motif.nodes):
-            fu_id = self._alu_fu(pcu, template.slots[role])
+            fu_id = pcu * _FUS_PER_PCU + template.slots[role]
             cycle = start + template.offsets[role]
             if cycle >= self.horizon or start < 0:
                 return None
@@ -408,76 +452,83 @@ class _State:
             spots.append((node_id, fu_id, cycle))
         return spots
 
-    def _singleton_spots(self, group, fu_id, cycle):
-        node_id = self.hierarchy.groups[group].nodes[0]
-        if cycle >= self.horizon or cycle < 0 \
-                or not self.mrrg.fu_free(fu_id, cycle):
-            return None
-        return [(node_id, fu_id, cycle)]
-
-    def _estimate(self, group: int, spots) -> float | None:
+    def _estimate(self, group: int, spots) -> float:
         """Routing-free candidate score: transport slack and wire length
         to already-placed neighbours; infinity when timing-infeasible."""
         trial = {node_id: (fu, cyc) for node_id, fu, cyc in spots}
+        placement = self.placement
+        latency = self._latency
         score = 0.0
-        for index in self._incident_groups[group]:
-            edge = self._edge_list[index]
-            src = trial.get(edge.src) or self.placement.get(edge.src)
-            dst = trial.get(edge.dst) or self.placement.get(edge.dst)
-            if src is None or dst is None:
+        for src, dst, delay, ordering in self._incident_edges[group]:
+            src_spot = trial.get(src) or placement.get(src)
+            dst_spot = trial.get(dst) or placement.get(dst)
+            if src_spot is None or dst_spot is None:
                 continue
-            src_fu, src_cycle = src
-            dst_fu, dst_cycle = dst
-            arrival = dst_cycle + edge.distance * self.ii
-            if edge.is_ordering:
+            src_fu, src_cycle = src_spot
+            dst_fu, dst_cycle = dst_spot
+            arrival = dst_cycle + delay
+            if ordering:
                 if arrival < src_cycle + 1:
-                    return float("inf")
+                    return math.inf
                 continue
-            lat = min_transport_latency(self.arch, src_fu, dst_fu)
+            lat = latency[src_fu][dst_fu]
             span = arrival - src_cycle
             if span < lat:
-                return float("inf")
+                return math.inf
             # Prefer short wires and tight schedules.
             score += 2.0 * lat + 0.5 * (span - lat)
         return score
 
     # ------------------------------------------------------------------
-    def _earliest_start(self, group: int, pcu: int) -> int:
-        """Earliest start cycle given placed predecessors of the group."""
+    def _earliest_start(self, group: int, fu_id: int) -> int:
+        """Earliest cycle ``fu_id`` can execute a node of the group, given
+        the group's placed external predecessors."""
         earliest = 0
-        for node_id in self.hierarchy.groups[group].nodes:
-            for edge in self.dfg.in_edges(node_id):
-                if edge.src in self.placement \
-                        and self.hierarchy.group_of(edge.src) != group:
-                    src_fu, src_cycle = self.placement[edge.src]
-                    lat = 1 if edge.is_ordering else min_transport_latency(
-                        self.arch, src_fu, self._alu_fu(pcu, 0))
-                    earliest = max(
-                        earliest,
-                        src_cycle + lat - edge.distance * self.ii)
-        return max(0, earliest)
+        placement = self.placement
+        latency = self._latency
+        for src, delay, ordering in self._ext_in[group]:
+            spot = placement.get(src)
+            if spot is not None:
+                src_fu, src_cycle = spot
+                lat = 1 if ordering else latency[src_fu][fu_id]
+                earliest = max(earliest, src_cycle + lat - delay)
+        return earliest
 
-    def _earliest_start_fu(self, group: int, fu_id: int) -> int:
-        earliest = 0
-        node_id = self.hierarchy.groups[group].nodes[0]
-        for edge in self.dfg.in_edges(node_id):
-            if edge.src in self.placement and edge.src != node_id:
-                src_fu, src_cycle = self.placement[edge.src]
-                lat = 1 if edge.is_ordering else min_transport_latency(
-                    self.arch, src_fu, fu_id)
-                earliest = max(
-                    earliest, src_cycle + lat - edge.distance * self.ii)
-        return max(0, earliest)
+    def _deadline(self, group: int, fu_id: int) -> int:
+        """Latest cycle a singleton on ``fu_id`` can execute, given the
+        group's placed external consumers (``horizon`` when none is).
+
+        Sound as a hard cut: a consumer placed at ``dst_cycle`` with
+        ``distance * II`` slack needs ``need`` transport cycles (1 for an
+        ordering edge, the FU-to-FU latency for a data edge), and
+        :meth:`_estimate` scores any cycle past ``dst_cycle + distance *
+        II - need`` infinite.  Such cycles never became candidates, never
+        counted toward the per-FU quota and drew no random numbers, so
+        not visiting them leaves the search unchanged.
+        """
+        deadline = self.horizon
+        placement = self.placement
+        row = self._latency[fu_id]
+        for dst, delay, ordering in self._ext_out[group]:
+            spot = placement.get(dst)
+            if spot is not None:
+                dst_fu, dst_cycle = spot
+                need = 1 if ordering else row[dst_fu]
+                deadline = min(deadline, dst_cycle + delay - need)
+        return deadline
 
     # ------------------------------------------------------------------
     # Committing (place + route or roll back)
     # ------------------------------------------------------------------
     def _commit_spots(self, group: int, spots, keep: bool = True
-                      ) -> float | None:
-        """Place nodes, route ready edges, score; roll back unless keep."""
-        for node_id, fu_id, cycle in spots:
-            self.placement[node_id] = (fu_id, cycle)
-            self.mrrg.place_node(node_id, fu_id, cycle)
+                      ) -> tuple[float | None, dict[int, Route], bool]:
+        """Place nodes, route ready edges, score; roll back unless keep.
+
+        Returns ``(total, routes, ripped)``: the full cost (None when an
+        edge failed, or when ``keep`` could not be honoured), the group's
+        new routes, and whether negotiation ripped up any route.
+        """
+        self._place_spots(spots)
         new_routes: dict[int, Route] = {}
         failed = 0
         for index in self._incident_groups[group]:
@@ -494,24 +545,32 @@ class _State:
                 failed += 1
             else:
                 new_routes[index] = route
-        if failed == 0:
-            self._negotiate(new_routes)
+        ripped = failed == 0 and self._negotiate(new_routes)
         cost = sum(len(route.steps) for route in new_routes.values())
         total = 1000.0 * failed + 100.0 * self.mrrg.total_overuse() + cost
         if keep and failed == 0:
-            self.group_spots[group] = list(spots)
-            self.routes.update(new_routes)
-            self.unplaced.discard(group)
-            return total
+            self._keep(group, spots, new_routes)
+            return total, new_routes, ripped
         # Roll back.
         for route in new_routes.values():
             self.mrrg.uncommit_route(route)
         for node_id, fu_id, cycle in spots:
             self.mrrg.unplace_node(node_id, fu_id, cycle)
             del self.placement[node_id]
-        if keep:
-            return None    # keep requested but edges failed
-        return total if failed == 0 else None
+        if keep or failed:
+            return None, new_routes, ripped
+        return total, new_routes, ripped
+
+    def _place_spots(self, spots) -> None:
+        for node_id, fu_id, cycle in spots:
+            self.placement[node_id] = (fu_id, cycle)
+            self.mrrg.place_node(node_id, fu_id, cycle)
+
+    def _keep(self, group: int, spots, new_routes: dict[int, Route]) -> None:
+        """Record a committed group and its routes."""
+        self.group_spots[group] = list(spots)
+        self.routes.update(new_routes)
+        self.unplaced.discard(group)
 
     def _route_index(self, index: int) -> Route | None:
         edge = self._edge_list[index]
@@ -522,15 +581,23 @@ class _State:
                           dst_fu, arrival)
 
     def _negotiate(self, new_routes: dict[int, Route],
-                   rounds: int = 2) -> None:
+                   rounds: int = 2) -> bool:
         """Mini rip-up-and-reroute: slack-rich routes committed early can
         squat on wires that later, tighter routes have no alternative to.
         Every committed route touching an overused slot — whichever group
-        it belongs to — is rerouted against the now-visible congestion."""
+        it belongs to — is rerouted against the now-visible congestion.
+
+        This is why a trial commit is not side-effect free: rerouted
+        routes of other groups stay rerouted after the trial's rollback.
+        Returns whether any route was ripped up (rerouted, or put back
+        when no reroute was found), which :meth:`_commit_best` needs to
+        know before it may reuse a trial's routes.
+        """
+        ripped = False
         for _round in range(rounds):
             violations = self.mrrg.overuse()
             if not violations:
-                return
+                return ripped
             hot = {(res, slot) for res, slot, _u, _c in violations}
             candidates = list(new_routes.items()) + [
                 (index, route) for index, route in self.routes.items()
@@ -540,6 +607,7 @@ class _State:
                 if not any((s.resource, self.mrrg.slot(s.cycle)) in hot
                            for s in route.steps):
                     continue
+                ripped = True
                 self.mrrg.uncommit_route(route)
                 redone = self._route_index(index)
                 if redone is None:
@@ -549,6 +617,7 @@ class _State:
                     new_routes[index] = redone
                 else:
                     self.routes[index] = redone
+        return ripped
 
     def _ordering_ok(self, edge) -> bool:
         if edge.src not in self.placement or edge.dst not in self.placement:
@@ -638,21 +707,13 @@ class _State:
 
     # ------------------------------------------------------------------
     def is_complete(self) -> bool:
-        if self.unplaced:
-            return False
-        for index, edge in enumerate(self._edge_list):
-            if edge.is_ordering:
-                if not self._ordering_ok(edge):
-                    return False
-            elif index not in self.routes:
-                return False
-        return True
+        return (not self.unplaced
+                and len(self.routes) == self._n_data_edges
+                and all(self._ordering_ok(edge)
+                        for edge in self._ordering_edges))
 
     def cost(self) -> float:
-        missing = sum(
-            1 for index, edge in enumerate(self._edge_list)
-            if not edge.is_ordering and index not in self.routes
-        )
+        missing = self._n_data_edges - len(self.routes)
         return mapping_cost(self.mrrg, self.routes, missing) \
             + 500.0 * len(self.unplaced)
 

@@ -32,25 +32,41 @@ from repro.mapping.routecore import (
 )
 
 __all__ = [
-    "MAX_TRANSPORT_CYCLES", "ROUTING", "RoutingHistory",
+    "MAX_TRANSPORT_CYCLES", "ROUTING", "RoutingHistory", "fu_hop_table",
     "min_transport_latency", "route_cost", "route_edge",
     "route_edge_reference", "router_adjacency", "routing_engine",
     "set_routing_engine", "transport_latency_table",
 ]
 
 
-def transport_latency_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
-    """Flattened FU x FU minimum-latency matrix, built once per fabric.
+def fu_hop_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
+    """Flattened FU x FU mesh distance (tile hops), built once per fabric.
 
-    The placement heuristics and candidate estimators call
-    :func:`min_transport_latency` millions of times per mapper run; a
-    precomputed table turns each call into two index lookups without
-    changing a single value.
+    The placement heuristics score candidates by wire length to placed
+    neighbours; this table is that distance without a per-query
+    ``manhattan`` call.
     """
-    table = getattr(arch, "_transport_latency_table", None)
+    table = getattr(arch, "_fu_hop_table", None)
     if table is None:
         tiles = [fu.tile for fu in arch.fus]
         cols = arch.cols
+        table = tuple(
+            tuple(manhattan(src_tile, dst_tile, cols) for dst_tile in tiles)
+            for src_tile in tiles
+        )
+        arch._fu_hop_table = table
+    return table
+
+
+def transport_latency_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
+    """Flattened FU x FU minimum-latency matrix, built once per fabric.
+
+    The placement heuristics and candidate estimators index it directly
+    (``table[src_fu][dst_fu]``); :func:`min_transport_latency` is the
+    same lookup behind a call.
+    """
+    table = getattr(arch, "_transport_latency_table", None)
+    if table is None:
         if arch.style == "plaid":
             def latency(hops: int) -> int:
                 return 1 if hops == 0 else 1 + hops
@@ -58,9 +74,8 @@ def transport_latency_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
             def latency(hops: int) -> int:
                 return max(1, hops)
         table = tuple(
-            tuple(latency(manhattan(src_tile, dst_tile, cols))
-                  for dst_tile in tiles)
-            for src_tile in tiles
+            tuple(latency(hops) for hops in row)
+            for row in fu_hop_table(arch)
         )
         arch._transport_latency_table = table
     return table

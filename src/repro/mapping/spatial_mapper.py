@@ -25,13 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.arch.base import Architecture
 from repro.arch.topology import manhattan, mesh_neighbors
 from repro.errors import MappingError
 from repro.ir.analysis import topological_order
-from repro.ir.graph import DFG
+from repro.ir.graph import DFG, strongly_connected_components
 from repro.ir.ops import OP_LATENCY
 from repro.mapping.engine import register_mapper
 from repro.utils.rng import make_rng
@@ -190,9 +188,13 @@ class SpatialMapper:
     # ------------------------------------------------------------------
     def _forced_clusters(self, dfg: DFG) -> dict[int, int]:
         """node -> cluster id; recurrence SCCs and loop-carried edge
-        endpoints are fused."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(node.node_id for node in dfg.nodes)
+        endpoints are fused.
+
+        The id is whichever member the union-find makes root.  It is
+        only ever a key: :meth:`_partition` orders clusters by their
+        members' topological positions, so which member is root never
+        reaches a mapping.
+        """
         union: dict[int, int] = {n.node_id: n.node_id for n in dfg.nodes}
 
         def find(x: int) -> int:
@@ -204,35 +206,28 @@ class SpatialMapper:
         def fuse(a: int, b: int) -> None:
             union[find(a)] = find(b)
 
+        def fuse_cycles(nodes, edges) -> bool:
+            fused = False
+            for component in strongly_connected_components(nodes, edges):
+                members = sorted(component)
+                for other in members[1:]:
+                    fuse(members[0], other)
+                fused = fused or len(members) > 1
+            return fused
+
         for edge in dfg.edges:
-            graph.add_edge(edge.src, edge.dst)
             if edge.distance > 0:
                 fuse(edge.src, edge.dst)
-        for component in nx.strongly_connected_components(graph):
-            members = list(component)
-            for other in members[1:]:
-                fuse(members[0], other)
+        fuse_cycles((n.node_id for n in dfg.nodes),
+                    ((edge.src, edge.dst) for edge in dfg.edges))
         # The cluster-level graph must be a DAG: a node that sits
         # topologically *inside* a fused cluster (consumes an early member,
         # feeds a late one) would otherwise create a cyclic phase
         # dependency.  Fuse cluster-level SCCs until none remain.
-        while True:
-            cluster_graph = nx.DiGraph()
-            cluster_graph.add_nodes_from(
-                {find(n.node_id) for n in dfg.nodes})
-            for edge in dfg.edges:
-                a, b = find(edge.src), find(edge.dst)
-                if a != b:
-                    cluster_graph.add_edge(a, b)
-            fused_any = False
-            for component in nx.strongly_connected_components(cluster_graph):
-                members = list(component)
-                if len(members) > 1:
-                    for other in members[1:]:
-                        fuse(members[0], other)
-                    fused_any = True
-            if not fused_any:
-                break
+        while fuse_cycles(
+                {find(n.node_id) for n in dfg.nodes},
+                [(find(edge.src), find(edge.dst)) for edge in dfg.edges]):
+            pass
         return {n.node_id: find(n.node_id) for n in dfg.nodes}
 
     def _partition(self, dfg: DFG, arch: Architecture,

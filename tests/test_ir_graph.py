@@ -1,9 +1,10 @@
 """Unit tests for the DFG container and its invariants."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import DFGError
-from repro.ir.graph import DFG, ORDERING
+from repro.ir.graph import DFG, ORDERING, strongly_connected_components
 from repro.ir.node import AffineAccess
 from repro.ir.ops import Opcode
 
@@ -132,3 +133,49 @@ def test_subgraph_edges():
     dfg, (a, b, c) = make_chain()
     inner = dfg.subgraph_edges({a.node_id, b.node_id})
     assert len(inner) == 1 and inner[0].src == a.node_id
+
+
+# ---------------------------------------------------------------------------
+# Strongly connected components
+# ---------------------------------------------------------------------------
+def _reachable(edges, start):
+    seen, frontier = {start}, [start]
+    while frontier:
+        node = frontier.pop()
+        for src, dst in edges:
+            if src == node and dst not in seen:
+                seen.add(dst)
+                frontier.append(dst)
+    return seen
+
+
+@given(st.integers(min_value=0, max_value=9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                           st.integers(0, max(n - 1, 0))),
+                 max_size=3 * n))))
+def test_scc_matches_mutual_reachability(graph):
+    size, edges = graph
+    if size == 0:
+        edges = []
+    nodes = range(size)
+    components = strongly_connected_components(nodes, edges)
+    reach = {node: _reachable(edges, node) for node in nodes}
+    expected = {
+        frozenset(other for other in nodes
+                  if other in reach[node] and node in reach[other])
+        for node in nodes
+    }
+    assert sorted(map(sorted, components)) == sorted(map(sorted, expected))
+    # Reverse topological order: no edge leads to a later component.
+    position = {node: index for index, component in enumerate(components)
+                for node in component}
+    assert all(position[src] >= position[dst] for src, dst in edges)
+
+
+def test_scc_survives_deep_chains():
+    size = 5000
+    edges = [(i, i + 1) for i in range(size - 1)] + [(size - 1, 0)]
+    assert strongly_connected_components(range(size), edges) \
+        == [set(range(size))]
