@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import MotifError
-from repro.ir.graph import DFG, DFGEdge
+from repro.ir.graph import DFG, DFGEdge, strongly_connected_components
 from repro.motifs.generation import MotifGenerationResult, generate_motifs
 from repro.motifs.types import Motif, MotifKind
 
@@ -78,8 +78,8 @@ class HierarchicalDFG:
         while remaining:
             ready = [g for g, pre in remaining.items() if pre <= done]
             if not ready:
-                # Distance-0 cycles across groups cannot happen (DFG is a
-                # DAG on distance-0 edges), but guard anyway.
+                # build_hierarchy splits motifs on distance-0 cycles
+                # across groups, but hand-built hierarchies may have them.
                 ready = sorted(remaining)
             ready.sort(key=lambda g: (-self.groups[g].size, g))
             chosen = ready[0]
@@ -109,6 +109,45 @@ class HierarchicalDFG:
             raise MotifError("edge classification does not partition edges")
 
 
+def split_group_cycles(dfg: DFG, groups: list[Motif]) -> list[Motif]:
+    """Split the collective motifs that lie on a group-level cycle.
+
+    Each motif is convex on its own, yet two motifs can still depend on
+    each other: ``a1 -> b2`` and ``b1 -> a2`` with ``a1, a2`` in one motif
+    and ``b1, b2`` in the other.  Such groups have no dependency order and
+    force a tight mutual schedule (each runs in one short window) that the
+    mapper can miss at every II.  Every collective motif in a strongly
+    connected component of the distance-0 group graph is replaced by its
+    nodes as singletons.  Splitting only refines the partition, so a
+    cycle left afterwards would have been one before: one pass leaves the
+    group graph acyclic.
+    """
+    group_of = {
+        node_id: index
+        for index, motif in enumerate(groups) for node_id in motif.nodes
+    }
+    group_edges = {
+        (group_of[edge.src], group_of[edge.dst])
+        for edge in dfg.edges
+        if edge.distance == 0 and group_of[edge.src] != group_of[edge.dst]
+    }
+    cyclic: set[int] = set()
+    for component in strongly_connected_components(range(len(groups)),
+                                                   group_edges):
+        if len(component) > 1:
+            cyclic |= component
+    if not cyclic:
+        return groups
+    split: list[Motif] = []
+    for index, motif in enumerate(groups):
+        if index in cyclic and motif.is_collective:
+            split.extend(Motif(MotifKind.SINGLETON, (node_id,))
+                         for node_id in motif.nodes)
+        else:
+            split.append(motif)
+    return split
+
+
 def build_hierarchy(dfg: DFG,
                     generation: MotifGenerationResult | None = None,
                     seed: int | None = None) -> HierarchicalDFG:
@@ -124,6 +163,7 @@ def build_hierarchy(dfg: DFG,
         groups.append(Motif(MotifKind.SINGLETON, (node_id,)))
     for node in dfg.memory_nodes:
         groups.append(Motif(MotifKind.SINGLETON, (node.node_id,)))
+    groups = split_group_cycles(dfg, groups)
 
     node_to_group: dict[int, int] = {}
     for index, motif in enumerate(groups):
