@@ -19,7 +19,7 @@ Every capacity is per cycle; the MRRG folds cycles modulo II.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import ArchitectureError
 from repro.ir.ops import COMPUTE_OPS, MEMORY_OPS, Opcode
@@ -94,6 +94,19 @@ class Architecture:
     #: Free-form parameters the power model and mappers read (crossbar
     #: sizes, pruning scales, hardwired motif kinds, ...).
     params: dict[str, object] = field(default_factory=dict)
+
+    def __getstate__(self) -> dict:
+        """Copy and pickle the fields only, never the derived tables.
+
+        The lookup tables memoized on an instance (``_op_index``,
+        ``_moves_from_index``, the router's ``_fu_hop_table`` /
+        ``_transport_latency_table`` / ``_router_adjacency`` and the
+        ``_structural_key`` digest) describe the fabric they were built
+        from.  A deep copy that kept them and was then edited would
+        report the original's structural key, and the MRRG pool and the
+        route-core cache would hand it the original's compiled state.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ------------------------------------------------------------------
     # Queries

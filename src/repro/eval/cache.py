@@ -90,17 +90,27 @@ def workload_signature(spec: "WorkloadSpec") -> dict:
     return signature
 
 
-def fingerprint(spec: "WorkloadSpec", arch: "Architecture",
+def fingerprint(spec: "WorkloadSpec", arch: "Architecture | str",
                 mapper_key: str, seed: int) -> str:
-    """Stable hex digest identifying one evaluation configuration."""
-    payload = {
+    """Stable hex digest identifying one evaluation configuration.
+
+    ``arch`` is the fabric, or ``canonical_json`` of its
+    :func:`arch_signature`: every cell on one fabric shares that text,
+    so grid-wide callers (the harness) serialize each fabric once and
+    pass the text.  Either way the digested text is ``canonical_json``
+    of the full payload, byte for byte: keys sort, so ``"arch"`` is the
+    payload's first key and the fabric's text is spliced in front.
+    """
+    if not isinstance(arch, str):
+        arch = canonical_json(arch_signature(arch))
+    rest = canonical_json({
         "schema": SCHEMA_VERSION,
         "workload": workload_signature(spec),
-        "arch": arch_signature(arch),
         "mapper": mapper_key,
         "seed": seed,
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    })
+    text = '{"arch":' + arch + "," + rest[1:]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

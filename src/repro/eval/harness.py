@@ -40,6 +40,7 @@ from repro.power.model import (
     activity_from_spatial, fabric_area, fabric_power,
 )
 from repro.power.report import energy_nj, perf_per_area
+from repro.utils.signature import arch_signature, canonical_json
 from repro.workloads.registry import get_dfg, get_workload
 
 #: Architecture keys the experiments use.
@@ -137,6 +138,13 @@ EVAL_STATS = EvalStats()
 #: signature per call.
 _FP_MEMO: dict[tuple[str, str, str], str] = {}
 
+#: arch key -> ``canonical_json(arch_signature(...))``.  Every cell on a
+#: fabric splices the same text into its fingerprint, so each fabric is
+#: walked and serialized once, not once per cell.  Keyed by arch key like
+#: ``build_arch`` (never by instance: a deep copy is a different fabric
+#: once edited) and cleared together with it.
+_ARCH_JSON_MEMO: dict[str, str] = {}
+
 
 def configure_store(store: result_cache.ResultStore | str | None
                     ) -> result_cache.ResultStore | None:
@@ -176,9 +184,13 @@ def evaluation_fingerprint(workload: str, arch_key: str,
     cached = _FP_MEMO.get(key)
     if cached is not None:
         return cached
+    spec = get_workload(workload)
+    arch_json = _ARCH_JSON_MEMO.get(arch_key)
+    if arch_json is None:
+        arch_json = canonical_json(arch_signature(build_arch(arch_key)))
+        _ARCH_JSON_MEMO[arch_key] = arch_json
     seed = _seed_for(workload, arch_key, mapper_key)
-    fp = result_cache.fingerprint(
-        get_workload(workload), build_arch(arch_key), mapper_key, seed)
+    fp = result_cache.fingerprint(spec, arch_json, mapper_key, seed)
     _FP_MEMO[key] = fp
     return fp
 
@@ -384,6 +396,7 @@ def clear_caches() -> None:
     _STORE_RESOLVED = False
     EVAL_STATS.reset()
     build_arch.cache_clear()
+    _ARCH_JSON_MEMO.clear()     # derived from build_arch's instances
     from repro.workloads import registry
     registry.clear_dfg_caches()   # variant expansion multiplies cached DFGs
     from repro.mapping import race

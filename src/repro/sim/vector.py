@@ -45,6 +45,8 @@ installed every run silently delegates to the compiled engine.
 
 from __future__ import annotations
 
+import importlib.util
+
 from repro.errors import SimulationError
 from repro.ir.interpreter import MemoryImage
 from repro.ir.ops import Opcode, evaluate
@@ -54,16 +56,23 @@ from repro.sim.engine import (
     SimulationReport, finish_verify,
 )
 
-try:
-    import numpy as np
-    HAVE_NUMPY = True
-except ImportError:                              # pragma: no cover
-    np = None
-    HAVE_NUMPY = False
+#: numpy loads on the first numpy-engine run (:func:`_numpy`), not on
+#: import: this is its only user and not the default engine, so every
+#: other process skips its import time and memory.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+np = None
 
 __all__ = ["HAVE_NUMPY", "VectorSchedule", "screen_schedule", "vec_evaluate"]
 
 _WORD_MASK = 0xFFFF
+
+
+def _numpy():
+    """Bind numpy to this module's ``np`` (imported on first call)."""
+    global np
+    if np is None:
+        import numpy
+        np = numpy
 
 
 def screen_schedule(cs: CompiledSchedule, total: int, end_cycle: int,
@@ -156,6 +165,7 @@ def vec_evaluate(op: Opcode, args):
     """Vectorized :func:`repro.ir.ops.evaluate`: identical 16-bit
     semantics on numpy arrays (operands are raw 16-bit patterns; the
     result is a ``uint16`` pattern array).  Scalars broadcast."""
+    _numpy()
     u = [np.asarray(a, dtype=np.int64) & _WORD_MASK for a in args]
 
     def signed(x):
@@ -246,6 +256,7 @@ class VectorSchedule:
         if trace is not None or not HAVE_NUMPY:
             return cs.execute(memory, iterations=iterations, verify=verify,
                               trace=trace)
+        _numpy()
         plan = self._plan(total)
         layout = self._layout(memory, plan) if plan is not None else None
         if plan is None or layout is None:
@@ -262,6 +273,7 @@ class VectorSchedule:
         if trace is not None or not HAVE_NUMPY:
             return cs.execute_batch(memories, iterations=iterations,
                                     verify=verify, trace=trace)
+        _numpy()
         total = cs.dfg.iterations if iterations is None else iterations
         if total < 1:
             raise SimulationError("need at least one iteration")

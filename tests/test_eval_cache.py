@@ -1,16 +1,20 @@
 """The persistent result store: round-trips, fingerprints, schema
 versioning, and corruption recovery."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.eval import cache
+from repro.errors import ReproError
+from repro.eval import cache, harness
 from repro.eval.harness import (
-    build_arch, clear_caches, configure_store, evaluate_kernel,
-    evaluation_fingerprint, EVAL_STATS,
+    ARCH_KEYS, _seed_for, build_arch, clear_caches, configure_store,
+    evaluate_kernel, evaluation_fingerprint, EVAL_STATS, resolve_mapper,
+    try_fingerprint,
 )
-from repro.workloads.registry import get_workload
+from repro.utils.signature import arch_signature, canonical_json
+from repro.workloads.registry import all_workloads, get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -121,6 +125,59 @@ def test_fingerprint_tracks_arch_config_change():
 
     assert cache.fingerprint(spec, arch, "plaid", 2) != base     # seed
     assert cache.fingerprint(spec, arch, "plaid", 1) == base     # stable
+
+
+#: ``evaluation_fingerprint("dwconv", "plaid")`` at SCHEMA_VERSION 1.
+#: Any drift in the fingerprint format orphans every stored entry, so it
+#: must fail here first; only a deliberate schema bump moves this value.
+DWCONV_PLAID_FINGERPRINT = (
+    "47244828d009315385fff95681b8d51271c4cfa0b0e49e1108ff3505ef71e3bf")
+
+
+def test_fingerprint_format_is_pinned():
+    assert evaluation_fingerprint("dwconv", "plaid") \
+        == DWCONV_PLAID_FINGERPRINT
+    seed = _seed_for("dwconv", "plaid", "plaid")
+    assert cache.fingerprint(get_workload("dwconv"), build_arch("plaid"),
+                             "plaid", seed) == DWCONV_PLAID_FINGERPRINT
+
+
+def test_memoized_fingerprints_equal_the_full_payload_digest():
+    """The harness serializes each fabric once and splices that text
+    into every cell's payload; the digest must equal the one over the
+    whole payload, for every workload, fabric and mapper."""
+    workloads = [spec.name for spec in all_workloads()] + ["gemm_t4x4_u2"]
+    for arch_key in ARCH_KEYS + ("st6x6",):
+        signature = arch_signature(build_arch(arch_key))
+        for workload in workloads:
+            spec = get_workload(workload)
+            for mapper in (None, "sa", "pathfinder", "best", "plaid"):
+                mapper_key = resolve_mapper(arch_key, mapper)
+                payload = {
+                    "schema": cache.SCHEMA_VERSION,
+                    "workload": cache.workload_signature(spec),
+                    "arch": signature,
+                    "mapper": mapper_key,
+                    "seed": _seed_for(workload, arch_key, mapper_key),
+                }
+                want = hashlib.sha256(
+                    canonical_json(payload).encode("utf-8")).hexdigest()
+                assert evaluation_fingerprint(workload, arch_key, mapper) \
+                    == want, (workload, arch_key, mapper)
+
+
+def test_clear_caches_drops_the_arch_signature_memo():
+    evaluation_fingerprint("dwconv", "st")
+    assert set(harness._ARCH_JSON_MEMO) == {"st"}
+    clear_caches()
+    assert harness._ARCH_JSON_MEMO == {}
+
+
+def test_unknown_arch_key_memoizes_nothing():
+    with pytest.raises(ReproError, match="unknown architecture"):
+        evaluation_fingerprint("dwconv", "bogus")
+    assert try_fingerprint("dwconv", "bogus") is None
+    assert harness._ARCH_JSON_MEMO == {} and harness._FP_MEMO == {}
 
 
 # ---------------------------------------------------------------------------

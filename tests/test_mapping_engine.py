@@ -2,17 +2,23 @@
 the MRRG pool's "reset is indistinguishable from reconstruction" contract.
 """
 
+import copy
+
 import pytest
 
 from repro.arch import make_plaid, make_spatio_temporal
 from repro.arch.mrrg import MRRG
 from repro.errors import MappingError, ReproError
+from repro.ir.ops import Opcode
 from repro.eval.harness import _seed_for
 from repro.mapping import (
     MapperStrategy, MappingEngine, MRRGPool, PathFinderMapper, PlaidMapper,
     SimulatedAnnealingMapper, available_mappers, get_mapper, map_kernel,
     register_mapper,
 )
+from repro.mapping import routecore
+from repro.mapping.router import router_adjacency, transport_latency_table
+from repro.utils.signature import arch_structural_key
 from repro.workloads import get_dfg
 
 #: The golden 5x3 grid's workloads (tests/data/golden_small_grid.json).
@@ -177,6 +183,40 @@ def test_pool_recycles_across_searches():
     engine.search(dfg, arch, PathFinderMapper(seed=1))
     assert pool.stats.adopted > 0
     assert pool.stats.created == created_first   # nothing rebuilt
+
+
+def test_edited_deep_copy_gets_its_own_key_and_tables():
+    """Regression: the tables memoized on a fabric survived
+    ``copy.deepcopy``, so a copy edited after the original's key was
+    computed reported that key, and the pool and the route-core cache
+    handed it the original's compiled state."""
+    arch = make_plaid(2, 2)
+    key = arch_structural_key(arch)
+    adjacency = router_adjacency(arch)
+    transport_latency_table(arch)
+    arch.fus_supporting(Opcode.ADD)
+    arch.moves_from(0)
+    core = routecore.route_core_for(arch, 2)
+    pool = MRRGPool()
+    pool.release(arch, 2, pool.acquire(arch, 2))
+
+    recapped = copy.deepcopy(arch)
+    assert not [name for name in vars(recapped) if name.startswith("_")]
+    resource = next(iter(recapped.resource_caps))
+    recapped.resource_caps[resource] += 1
+    assert arch_structural_key(recapped) != key
+    assert routecore.route_core_for(recapped, 2) is not core
+    mrrg = pool.acquire(recapped, 2)
+    assert mrrg.arch is recapped
+    assert mrrg.capacity(("res", resource)) \
+        == arch.resource_caps[resource] + 1
+
+    rewired = copy.deepcopy(arch)
+    rewired.moves.pop()
+    assert arch_structural_key(rewired) != key
+    assert router_adjacency(rewired) != adjacency
+    assert arch_structural_key(arch) == key      # the original is intact
+    assert router_adjacency(arch) is adjacency
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -101,3 +103,14 @@ def test_numpy_is_an_optional_extra():
     project = _project()
     assert "numpy" in _names(project["optional-dependencies"]["numpy"])
     assert "numpy" not in _names(project.get("dependencies", []))
+
+
+def test_numpy_stays_off_the_import_path():
+    """Only the numpy simulation engine uses numpy, and it imports it on
+    its first run: loading the package's entry points must not."""
+    probe = ("import sys, repro.sim, repro.eval.harness, repro.cli; "
+             "print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

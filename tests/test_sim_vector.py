@@ -28,6 +28,7 @@ from repro.sim import (
     CGRASimulator, Scratchpad, TraceRecorder, set_simulation_engine,
     simulation_engine,
 )
+from repro.sim import vector
 from repro.sim.vector import VectorSchedule, vec_evaluate
 from repro.workloads import get_dfg
 
@@ -281,6 +282,21 @@ def test_empty_batch_is_empty():
     simulator = CGRASimulator(_small_mapping())
     assert simulator.run_batch([], engine="numpy") == []
     assert simulator.run_batch([], engine="compiled") == []
+
+
+def test_without_numpy_every_run_delegates_to_compiled(monkeypatch):
+    monkeypatch.setattr(vector, "HAVE_NUMPY", False)
+    mapping = _small_mapping()
+    memories = [DFGInterpreter(mapping.dfg).prepare_memory(fill=f)
+                for f in (1, 2)]
+    simulator = CGRASimulator(mapping)
+    got = simulator.run(memories[0], iterations=4, engine="numpy")
+    batch = simulator.run_batch(memories, iterations=4, engine="numpy")
+    assert not simulator.vector()._plans          # no value plan compiled
+    compiled = CGRASimulator(mapping)
+    assert got == compiled.run(memories[0], iterations=4, engine="compiled")
+    assert batch == compiled.run_batch(memories, iterations=4,
+                                       engine="compiled")
 
 
 # ---------------------------------------------------------------------------
