@@ -56,6 +56,18 @@ class SimulationError(ReproError):
     """The cycle-accurate simulator detected an inconsistency."""
 
 
+class IterationWindowError(SimulationError):
+    """A simulation or interpretation window outside the kernel's
+    iteration space: ``requested`` iterations asked for, ``available``
+    points in the space (the window must lie in ``1..available``)."""
+
+    def __init__(self, message: str, *, requested: int,
+                 available: int) -> None:
+        super().__init__(message)
+        self.requested = requested
+        self.available = available
+
+
 class ConfigError(ReproError):
     """Configuration bitstream encoding/decoding failed."""
 

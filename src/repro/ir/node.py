@@ -34,6 +34,32 @@ class AffineAccess:
             offset += coeff * index
         return offset
 
+    def addresses(self, trip_counts: tuple[int, ...], count: int
+                  ) -> list[int]:
+        """Element offsets of the first ``count`` points of the iteration
+        space ``trip_counts`` (flat order, innermost index fastest):
+        ``[address(iteration_indices(k)) for k in range(count)]``, built
+        one loop dimension at a time instead of point by point."""
+        if len(trip_counts) < len(self.coeffs):
+            raise ValueError(
+                f"access to '{self.array}' needs {len(self.coeffs)} loop "
+                f"indices, got {len(trip_counts)}"
+            )
+        if count < 1:
+            return []
+        offsets = [self.base]
+        inner = 1
+        for trip in trip_counts:
+            inner *= trip
+        for dim, trip in enumerate(trip_counts):
+            inner //= trip
+            # Points needed at this depth to cover the first ``count``.
+            need = -(-count // inner)
+            coeff = self.coeffs[dim] if dim < len(self.coeffs) else 0
+            offsets = [offset + coeff * index for offset in offsets
+                       for index in range(trip)][:need]
+        return offsets[:count]
+
     def describe(self) -> str:
         """Human-readable form, e.g. ``A[16*i0 + i1 + 3]``."""
         terms = [

@@ -9,6 +9,7 @@ op budget: 15 compute opcodes plus LOAD and STORE.
 from __future__ import annotations
 
 import enum
+from typing import Callable
 
 WORD_BITS = 16
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -118,6 +119,91 @@ def to_unsigned(value: int) -> int:
     return value & WORD_MASK
 
 
+def _add(a: int, b: int) -> int:
+    return (a + b) & WORD_MASK
+
+
+def _sub(a: int, b: int) -> int:
+    return (a - b) & WORD_MASK
+
+
+def _mul(a: int, b: int) -> int:
+    return (a * b) & WORD_MASK
+
+
+def _abs(a: int) -> int:
+    return abs(to_signed(a)) & WORD_MASK
+
+
+def _shl(a: int, b: int) -> int:
+    return (a << (b & 0xF)) & WORD_MASK
+
+
+def _shr(a: int, b: int) -> int:
+    return (to_signed(a) >> (b & 0xF)) & WORD_MASK
+
+
+def _lsr(a: int, b: int) -> int:
+    return (a & WORD_MASK) >> (b & 0xF)
+
+
+def _and(a: int, b: int) -> int:
+    return a & b & WORD_MASK
+
+
+def _or(a: int, b: int) -> int:
+    return (a | b) & WORD_MASK
+
+
+def _xor(a: int, b: int) -> int:
+    return (a ^ b) & WORD_MASK
+
+
+def _not(a: int) -> int:
+    return ~a & WORD_MASK
+
+
+def _cmp(a: int, b: int) -> int:
+    return 1 if to_signed(a) < to_signed(b) else 0
+
+
+def _sel(a: int, b: int, predicate: int) -> int:
+    return (a if predicate & WORD_MASK else b) & WORD_MASK
+
+
+def _min(a: int, b: int) -> int:
+    return min(to_signed(a), to_signed(b)) & WORD_MASK
+
+
+def _max(a: int, b: int) -> int:
+    return max(to_signed(a), to_signed(b)) & WORD_MASK
+
+
+#: The 16-bit semantics of every compute op, one function per opcode
+#: taking its ``OP_ARITY`` operands positionally (raw patterns in, a
+#: pattern out).  Signedness only matters where the result depends on it
+#: (ABS, SHR, CMP, MIN, MAX); wrap-around arithmetic is sign-agnostic.
+#: Simulators and the interpreter call these directly;
+#: :func:`evaluate` is the checked front end.
+OP_EVAL: dict[Opcode, Callable[..., int]] = {
+    Opcode.ADD: _add,
+    Opcode.SUB: _sub,
+    Opcode.MUL: _mul,
+    Opcode.ABS: _abs,
+    Opcode.SHL: _shl,
+    Opcode.SHR: _shr,
+    Opcode.LSR: _lsr,
+    Opcode.AND: _and,
+    Opcode.OR: _or,
+    Opcode.XOR: _xor,
+    Opcode.NOT: _not,
+    Opcode.CMP: _cmp,
+    Opcode.SEL: _sel,
+    Opcode.MIN: _min,
+    Opcode.MAX: _max,
+}
+
+
 def evaluate(op: Opcode, operands: list[int], const: int | None = None) -> int:
     """Execute one compute op on 16-bit wrapped operands.
 
@@ -134,39 +220,7 @@ def evaluate(op: Opcode, operands: list[int], const: int | None = None) -> int:
         raise ValueError(
             f"{op.name} expects {arity} operands, got {len(args)}"
         )
-    a = to_signed(args[0]) if args else 0
-    b = to_signed(args[1]) if len(args) > 1 else 0
-    if op is Opcode.ADD:
-        result = a + b
-    elif op is Opcode.SUB:
-        result = a - b
-    elif op is Opcode.MUL:
-        result = a * b
-    elif op is Opcode.ABS:
-        result = abs(a)
-    elif op is Opcode.SHL:
-        result = a << (args[1] & 0xF)
-    elif op is Opcode.SHR:
-        result = a >> (args[1] & 0xF)
-    elif op is Opcode.LSR:
-        result = (args[0] & WORD_MASK) >> (args[1] & 0xF)
-    elif op is Opcode.AND:
-        result = args[0] & args[1]
-    elif op is Opcode.OR:
-        result = args[0] | args[1]
-    elif op is Opcode.XOR:
-        result = args[0] ^ args[1]
-    elif op is Opcode.NOT:
-        result = ~args[0]
-    elif op is Opcode.CMP:
-        result = 1 if a < b else 0
-    elif op is Opcode.SEL:
-        predicate = args[2] & WORD_MASK
-        result = args[0] if predicate else args[1]
-    elif op is Opcode.MIN:
-        result = min(a, b)
-    elif op is Opcode.MAX:
-        result = max(a, b)
-    else:
+    func = OP_EVAL.get(op)
+    if func is None:
         raise ValueError(f"{op.name} is not a compute op")
-    return to_unsigned(result)
+    return func(*args)

@@ -10,8 +10,8 @@ are precomputed in Python (handling partial iteration windows exactly
 like ``dfg.iteration_indices``) and passed in, so the same artifact
 serves every window of a batch.
 
-The backend reuses the vector engine's screen-and-delegate discipline
-(:func:`repro.sim.vector.screen_schedule`): C only ever executes windows
+The backend reuses the compiled engine's screen-and-delegate discipline
+(:func:`repro.sim.engine.screen_schedule`): C only ever executes windows
 proven error-free, where
 
 * every operand is the producer's out-buffer value for iteration
@@ -25,7 +25,7 @@ proven error-free, where
   semantics bit for bit;
 * counters are analytic (every entry fires once per iteration), except
   bank conflicts, which C counts with a per-cycle bank bitmask exactly
-  like :meth:`Scratchpad._charge_bank`.
+  like :meth:`Scratchpad._access`.
 
 Anything else — trace runs, screen failures, layout problems, missing
 toolchain — delegates to the compiled engine, which is bit-identical by
@@ -37,15 +37,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 
-from repro.errors import SimulationError
-from repro.ir.interpreter import MemoryImage
+from repro.ir.interpreter import MemoryImage, iteration_window
 from repro.ir.ops import Opcode
 from repro.native import build
 from repro.sim.engine import (
     _ARG_CONST, _ARG_ONE, _ARG_OPERAND, _EXEC_ALU, _EXEC_LOAD, _EXEC_STORE,
-    CompiledSchedule, SimulationReport, finish_verify,
+    CompiledSchedule, SimulationReport, finish_verify, screen_schedule,
 )
-from repro.sim.vector import screen_schedule
 
 __all__ = ["NativeSchedule", "sim_source"]
 
@@ -249,9 +247,7 @@ class NativeSchedule:
     def execute(self, memory: MemoryImage, iterations: int | None = None,
                 verify: bool = True, trace=None) -> SimulationReport:
         cs = self.compiled
-        total = cs.dfg.iterations if iterations is None else iterations
-        if total < 1:
-            raise SimulationError("need at least one iteration")
+        total = iteration_window(cs.dfg, iterations)
         if trace is not None:
             return cs.execute(memory, iterations=iterations, verify=verify,
                               trace=trace)
@@ -319,10 +315,10 @@ class NativeSchedule:
         if not screen_schedule(cs, total, end_cycle, nodes, by_id):
             return None
 
-        # Per-(memory node, iteration) addresses, computed exactly as
-        # the compiled engine does (dfg.iteration_indices handles
-        # partial windows); the C side only adds the array base.
-        indices_of = [cs.dfg.iteration_indices(k) for k in range(total)]
+        # Per-(memory node, iteration) addresses, the ones the compiled
+        # engine computes (partial windows included); the C side only
+        # adds the array base.
+        trips = cs.dfg.trip_counts
         program = _Program()
         program.total = total
         program.end_cycle = end_cycle
@@ -331,7 +327,7 @@ class NativeSchedule:
         flat: list[int] = []
         n_loads = n_stores = 0
         for cn in self._mem_nodes:
-            addrs = [cn.access.address(indices_of[k]) for k in range(total)]
+            addrs = cn.access.addresses(trips, total)
             lo, hi = min(addrs), max(addrs)
             if lo < -_ADDR_LIMIT or hi > _ADDR_LIMIT:
                 return None

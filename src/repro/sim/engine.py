@@ -23,14 +23,28 @@ schedule and executes it with flat-list inner loops:
 * **Prologue / steady state / epilogue.**  In the steady window every
   table entry is live, so the inner loops skip the iteration-bounds
   checks entirely; ramp-up and drain cycles take the checked path.
+* **Screen once, replay values.**  Whether a window can raise at all
+  (a missed delivery, an over-full place, too many SPM accesses in a
+  cycle, ...) depends only on the tables, so :func:`screen_schedule`
+  decides it once per (schedule, iteration count).  A window that
+  passes and runs untraced takes the screened replay: the same firing
+  order, operands read straight from the producers' output histories
+  with no transport, loads and stores through the same
+  :class:`~repro.sim.spm.Scratchpad` (so SPM bounds errors and bank
+  conflicts are unchanged), and firing/SPM/occupancy counts derived
+  arithmetically.  Every other window, and every traced run, takes the
+  checked replay (:meth:`CompiledSchedule.execute_checked`), which
+  materializes place contents cycle by cycle and raises exactly where
+  the interpreted simulator does.
 
 The engine is the execution core behind both
 :class:`~repro.sim.machine.CGRASimulator` (which keeps the interpreted
 loop as ``run_reference`` — the conformance oracle) and the spatial
-simulator's report accounting.  **Invariant:** compiled execution is
-bit-identical to the interpreted simulator — same
-:class:`SimulationReport` counters, same verify results, same errors on
-the same malformed mappings — locked by ``tests/test_sim_engine.py``.
+simulator's report accounting.  **Invariant:** compiled execution,
+screened or checked, is bit-identical to the interpreted simulator —
+same :class:`SimulationReport` counters, same verify results, same
+errors on the same malformed mappings — locked by
+``tests/test_sim_engine.py``.
 """
 
 from __future__ import annotations
@@ -39,14 +53,14 @@ import os
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, SimulationError
-from repro.ir.interpreter import DFGInterpreter, MemoryImage
-from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
+from repro.ir.interpreter import DFGInterpreter, MemoryImage, iteration_window
+from repro.ir.ops import OP_ARITY, OP_EVAL, Opcode, to_unsigned
 from repro.sim.spm import Scratchpad
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "CompiledSchedule", "SIM_ENGINES", "SimulationReport", "compare_images",
-    "compile_mapping", "finish_verify", "resolve_engine",
+    "compile_mapping", "finish_verify", "resolve_engine", "screen_schedule",
     "set_simulation_engine", "simulation_engine",
 ]
 
@@ -234,6 +248,22 @@ class CompiledNode:
         self.init_value = init_value
 
 
+class _Replay:
+    """One window's screened replay tables (see
+    :meth:`CompiledSchedule.screened`).
+
+    ``phases[p]`` holds the firings of phase ``p`` split into 1-, 2- and
+    3-operand ALU entries ``(q, node_id, evaluator, args)`` and memory
+    entries ``(q, node_id, is_store, array, addresses, value)`` in table
+    order, where ``q = sigma // II`` (a firing in row ``r`` is iteration
+    ``r - q``) and each operand is ``(producer id, distance, init)`` or
+    ``(constant values, 0, 0)``.  Rows ``steady[0]..steady[1]`` have
+    every entry live, so they skip the iteration-bounds checks."""
+
+    __slots__ = ("end_cycle", "rows", "steady", "num_ids", "phases",
+                 "fu_firings", "spm_reads", "spm_writes")
+
+
 class CompiledSchedule:
     """A mapping compiled into per-phase firing/transport tables.
 
@@ -287,6 +317,9 @@ class CompiledSchedule:
                 entries.sort(key=lambda item: -item[2])      # stable
                 self.occ_phase[phase].extend(entries)
         self._occ_rels = rels
+        #: (iterations, trip counts) -> screened replay tables, or None
+        #: when the screen sends the window to the checked replay.
+        self._replays: dict[tuple, _Replay | None] = {}
 
         # ---- steady-state window (per-iteration-count bounds derive
         # from these at run time) -------------------------------------
@@ -393,27 +426,202 @@ class CompiledSchedule:
         return lo, hi
 
     # ------------------------------------------------------------------
+    # Screened replay (built once per iteration count)
+    # ------------------------------------------------------------------
+    def screened(self, total: int) -> _Replay | None:
+        """The screened replay tables for a ``total``-iteration window,
+        or ``None`` when :func:`screen_schedule` cannot rule out every
+        error (the window then runs :meth:`execute_checked`)."""
+        key = (total, self.dfg.trip_counts)
+        if key not in self._replays:
+            self._replays[key] = self._build_replay(total)
+        return self._replays[key]
+
+    def _build_replay(self, total: int) -> _Replay | None:
+        ii = self.ii
+        end_cycle = (total - 1) * ii + self.makespan - 1
+        nodes = [cn for phase in self.fire_phase for cn in phase]
+        by_id = {cn.node_id: cn for cn in nodes}
+        if not nodes or not screen_schedule(self, total, end_cycle, nodes,
+                                            by_id):
+            return None
+        trips = self.dfg.trip_counts
+        constants: dict[int, list[int]] = {}
+
+        def source(cn: CompiledNode, pos: int) -> tuple:
+            """(producer id, distance, init), or (values, 0, 0) for a
+            constant or an operand only ever read before iteration 0."""
+            src, distance = cn.specs[pos][0], cn.specs[pos][1]
+            if distance >= total:
+                return constant(cn.init_value)
+            return (src, distance, cn.init_value)
+
+        def constant(value: int) -> tuple:
+            if value not in constants:
+                constants[value] = [value] * total
+            return (constants[value], 0, 0)
+
+        replay = _Replay()
+        replay.end_cycle = end_cycle
+        replay.rows = end_cycle // ii + 1
+        quotients = [cn.sigma // ii for cn in nodes]
+        replay.steady = (max(quotients), min(quotients) + total - 1)
+        replay.num_ids = max(by_id) + 1
+        replay.phases = []
+        loads = stores = 0
+        for phase in self.fire_phase:
+            alu: tuple[list, list, list] = ([], [], [])
+            mem = []
+            for cn in phase:
+                q = cn.sigma // ii
+                if cn.kind == _EXEC_ALU:
+                    args = []
+                    for arg_kind, payload in cn.arg_plan:
+                        if arg_kind == _ARG_OPERAND:
+                            args.append(source(cn, payload))
+                        else:                   # _ARG_CONST / _ARG_ONE
+                            args.append(constant(
+                                payload if arg_kind == _ARG_CONST else 1))
+                    alu[len(args) - 1].append(
+                        (q, cn.node_id, OP_EVAL[cn.op], args))
+                    continue
+                addrs = cn.access.addresses(trips, total)
+                if cn.kind == _EXEC_LOAD:
+                    loads += 1
+                    value = None
+                else:
+                    stores += 1
+                    value = source(cn, cn.store_pos) if cn.store_pos >= 0 \
+                        else constant(cn.const_u)
+                mem.append((q, cn.node_id, cn.kind == _EXEC_STORE,
+                            cn.access.array, addrs, value))
+            replay.phases.append((*alu, mem))
+        replay.fu_firings = len(nodes) * total
+        replay.spm_reads = loads * total
+        replay.spm_writes = stores * total
+        return replay
+
+    @staticmethod
+    def _run_screened(replay: _Replay, spm: Scratchpad,
+                      total: int) -> None:
+        """Run the firing tables in (cycle, firing position) order with
+        no transport: the screen proved every operand is delivered on
+        time, so each read is the producer's output for iteration
+        ``k - distance``.  Every producer fires in an earlier cycle, so
+        within a cycle the ALU firings (side-effect free) run first and
+        the loads/stores follow in their table order — the SPM sees the
+        same access sequence as the checked replay."""
+        hist = [[0] * total for _ in range(replay.num_ids)]
+
+        def bind(value) -> tuple:
+            src, distance, init = value
+            return (hist[src] if isinstance(src, int) else src,
+                    distance, init)
+
+        phases = []
+        for alu1, alu2, alu3, mem in replay.phases:
+            phases.append((
+                [(q, hist[nid], fn, *bind(a)) for q, nid, fn, (a,) in alu1],
+                [(q, hist[nid], fn, *bind(a), *bind(b))
+                 for q, nid, fn, (a, b) in alu2],
+                [(q, hist[nid], fn, *bind(a), *bind(b), *bind(c))
+                 for q, nid, fn, (a, b, c) in alu3],
+                [(q, hist[nid], store, array, addrs,
+                  *(bind(value) if store else (None, 0, 0)))
+                 for q, nid, store, array, addrs, value in mem],
+            ))
+        begin, read, write = spm.begin_cycle, spm.read, spm.write
+        steady_lo, steady_hi = replay.steady
+        for r in range(replay.rows):
+            checked = r < steady_lo or r > steady_hi
+            for alu1, alu2, alu3, mem in phases:
+                for q, out, fn, h0, d0, i0, h1, d1, i1 in alu2:
+                    k = r - q
+                    if checked and not 0 <= k < total:
+                        continue
+                    out[k] = fn(h0[k - d0] if k >= d0 else i0,
+                                h1[k - d1] if k >= d1 else i1)
+                for q, out, fn, h0, d0, i0 in alu1:
+                    k = r - q
+                    if checked and not 0 <= k < total:
+                        continue
+                    out[k] = fn(h0[k - d0] if k >= d0 else i0)
+                for q, out, fn, h0, d0, i0, h1, d1, i1, h2, d2, i2 in alu3:
+                    k = r - q
+                    if checked and not 0 <= k < total:
+                        continue
+                    out[k] = fn(h0[k - d0] if k >= d0 else i0,
+                                h1[k - d1] if k >= d1 else i1,
+                                h2[k - d2] if k >= d2 else i2)
+                if not mem:
+                    continue
+                begin()
+                for q, out, store, array, addrs, h0, d0, i0 in mem:
+                    k = r - q
+                    if checked and not 0 <= k < total:
+                        continue
+                    if store:
+                        value = h0[k - d0] if k >= d0 else i0
+                        write(array, addrs[k], value)
+                        out[k] = value
+                    else:
+                        out[k] = read(array, addrs[k])
+
+    def _scratchpad(self, memory: MemoryImage) -> Scratchpad:
+        spm = Scratchpad(self.arch.spm_banks, self.arch.spm_bytes_per_bank)
+        spm.load_image(memory)
+        return spm
+
+    def _report(self, total: int, end_cycle: int) -> SimulationReport:
+        report = SimulationReport(iterations=total, cycles=end_cycle + 1)
+        report.transport_occupancies = self.count_occupancies(total,
+                                                              end_cycle)
+        return report
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def execute(self, memory: MemoryImage, iterations: int | None = None,
                 verify: bool = True,
                 trace: TraceRecorder | None = None) -> SimulationReport:
         """Simulate ``iterations`` pipelined iterations starting from
-        ``memory`` (left untouched; the SPM gets a copy)."""
+        ``memory`` (left untouched; the SPM gets a copy).
+
+        An untraced window that passes :func:`screen_schedule` runs the
+        screened replay; any other window runs :meth:`execute_checked`.
+        Both produce the same report, final memory and errors."""
+        total = iteration_window(self.dfg, iterations)
+        replay = self.screened(total) if trace is None else None
+        if replay is None:
+            return self.execute_checked(memory, total, verify, trace)
+        reference = memory.copy()
+        spm = self._scratchpad(memory)
+        report = self._report(total, replay.end_cycle)
+        report.fu_firings = replay.fu_firings
+        report.spm_reads = replay.spm_reads
+        report.spm_writes = replay.spm_writes
+        self._run_screened(replay, spm, total)
+        report.bank_conflicts = spm.bank_conflicts
+        return finish_verify(report, self.dfg, reference, spm.dump_image(),
+                             total, verify)
+
+    def execute_checked(self, memory: MemoryImage,
+                        iterations: int | None = None, verify: bool = True,
+                        trace: TraceRecorder | None = None
+                        ) -> SimulationReport:
+        """The checked replay: every operand read goes through the place
+        contents and every occupancy is materialized and capacity-checked
+        cycle by cycle, so malformed mappings raise exactly where
+        :meth:`~repro.sim.machine.CGRASimulator.run_reference` does.
+        Runs every window the screen rejects and every traced run."""
         dfg = self.dfg
         ii = self.ii
-        total = dfg.iterations if iterations is None else iterations
-        if total < 1:
-            raise SimulationError("need at least one iteration")
+        total = iteration_window(dfg, iterations)
 
         reference = memory.copy()
-        spm = Scratchpad(self.arch.spm_banks, self.arch.spm_bytes_per_bank)
-        spm.load_image(memory.copy())
-
+        spm = self._scratchpad(memory)
         end_cycle = (total - 1) * ii + self.makespan - 1
-        report = SimulationReport(iterations=total, cycles=end_cycle + 1)
-        report.transport_occupancies = self.count_occupancies(total,
-                                                              end_cycle)
+        report = self._report(total, end_cycle)
 
         num_nodes = dfg.num_nodes
         out_buf: list[int | None] = [None] * (total * num_nodes)
@@ -598,7 +806,93 @@ class CompiledSchedule:
                 raise SimulationError(
                     f"'{cn.name}' missing operand {payload} at execution"
                 )
-        return evaluate(cn.op, args)
+        return OP_EVAL[cn.op](*args)
+
+
+def screen_schedule(cs: CompiledSchedule, total: int, end_cycle: int,
+                    nodes, by_id) -> bool:
+    """True iff no error can possibly fire in this window.
+
+    All the checked replay's checks (bypass-before-production,
+    unreadable/missing place deliveries, occupancy-before-production,
+    place capacity, SPM ports, missing operands) are data-independent,
+    so they are decidable from the tables alone, once per (schedule,
+    iteration count).  The screened replay of
+    :meth:`CompiledSchedule.execute` and the numpy and native backends
+    gate on this screen; a window that fails it runs the checked replay,
+    which raises the identical error at the identical point.  SPM
+    bounds depend on the memory layout and stay with the
+    :class:`~repro.sim.spm.Scratchpad` every path goes through.
+    """
+    ii = cs.ii
+    trips = cs.dfg.trip_counts
+    for cn in nodes:
+        if cn.sigma < 0 or cn.sigma > cs.makespan - 1:
+            return False                 # node would fire < total times
+        if cn.kind != _EXEC_ALU and cn.access is None:
+            return False                 # malformed memory node
+        if cn.kind == _EXEC_STORE and cn.store_pos < 0 \
+                and cn.const_u is None:
+            return False                 # store without a value
+        if cn.kind == _EXEC_ALU and any(
+                kind == _ARG_MISSING for kind, _ in cn.arg_plan):
+            return False                 # missing operand at execution
+        if cn.access is not None and len(cn.access.coeffs) > len(trips):
+            return False                 # address needs absent indices
+        for src, distance, mode, final_place, readable, index \
+                in cn.specs:
+            if distance >= total:
+                continue                 # never read: init value only
+            producer = by_id.get(src)
+            if producer is None:
+                return False
+            if mode == _SRC_BYPASS:
+                # Same-or-later-cycle production: bypass read misses.
+                if producer.sigma >= cn.sigma + distance * ii:
+                    return False
+            elif mode == _SRC_PLACE:
+                if not readable:
+                    return False
+                # The delivery must land exactly at every consuming
+                # cycle: the route must carry the producer's net and
+                # hold (final_place, rel) with rel == sigma_dst + d*II,
+                # and rel >= 1 (transport starts delivering at cycle 1).
+                need_rel = cn.sigma + distance * ii
+                route = cs.mapping.routes.get(index)
+                if route is None or route.net != src or need_rel < 1 \
+                        or (final_place, need_rel) not in route.places:
+                    return False
+            else:
+                return False             # deferred = malformed route
+
+    # Transport: every occupancy must follow its net's production.
+    for route in cs.mapping.routes.values():
+        producer = by_id.get(route.net)
+        if producer is None:
+            return False
+        for _place, rel in route.places:
+            if producer.sigma >= rel:
+                return False
+
+    # Place capacity at steady state (ramp-up counts are subsets).
+    for phase_entries in cs.occ_phase:
+        per_place: dict[int, int] = {}
+        seen = set()
+        for entry in phase_entries:
+            if entry in seen:
+                continue                 # same (place, net, rel) dedups
+            seen.add(entry)
+            per_place[entry[0]] = per_place.get(entry[0], 0) + 1
+        for place, count in per_place.items():
+            if count > cs.arch.place(place).capacity:
+                return False
+
+    # SPM aggregate port limit per cycle (= per phase, steady state).
+    banks = cs.arch.spm_banks
+    for phase_list in cs.fire_phase:
+        if sum(1 for cn in phase_list if cn.kind != _EXEC_ALU) > banks:
+            return False
+    return True
 
 
 def compile_mapping(mapping) -> CompiledSchedule:

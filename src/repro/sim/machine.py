@@ -17,7 +17,11 @@ check the paper uses its cycle-accurate simulator for.
 
 Execution runs through the compiled engine (:mod:`repro.sim.engine`):
 :meth:`CGRASimulator.run` compiles the mapping once into per-phase
-firing/transport tables and replays them.  ``engine=`` (or the
+firing/transport tables and replays them — screened once per iteration
+count, then replayed as values alone when no check can fire, or
+replayed with every per-cycle check otherwise (and for traced runs).
+Every window must lie within the kernel's iteration space
+(:func:`~repro.ir.interpreter.iteration_window`).  ``engine=`` (or the
 process-wide ``REPRO_SIM_ENGINE`` setting) selects between four
 bit-identical backends: ``compiled`` (the PR 3 table replay), ``numpy``
 (:mod:`repro.sim.vector` — the same tables evaluated as array
@@ -36,8 +40,8 @@ from collections import defaultdict
 
 from repro.errors import SimulationError
 from repro.ir.graph import DFG
-from repro.ir.interpreter import MemoryImage
-from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
+from repro.ir.interpreter import MemoryImage, iteration_window
+from repro.ir.ops import OP_ARITY, OP_EVAL, Opcode, to_unsigned
 from repro.mapping.base import Mapping
 from repro.sim.engine import (
     CompiledSchedule, SimulationReport, compare_images, compile_mapping,
@@ -159,9 +163,7 @@ class CGRASimulator:
         dfg = self.dfg
         mapping = self.mapping
         ii = mapping.ii
-        total_iters = dfg.iterations if iterations is None else iterations
-        if total_iters < 1:
-            raise SimulationError("need at least one iteration")
+        total_iters = iteration_window(dfg, iterations)
 
         reference = memory.copy()
         spm = Scratchpad(self.arch.spm_banks, self.arch.spm_bytes_per_bank)
@@ -318,7 +320,7 @@ class CGRASimulator:
                 raise SimulationError(
                     f"'{node.name}' missing operand {slot} at execution"
                 )
-        return evaluate(node.op, args)
+        return OP_EVAL[node.op](*args)
 
     # ------------------------------------------------------------------
     @staticmethod

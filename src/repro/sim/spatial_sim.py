@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.ir.graph import DFG
-from repro.ir.interpreter import MemoryImage
-from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
+from repro.ir.interpreter import MemoryImage, iteration_window
+from repro.ir.ops import OP_ARITY, OP_EVAL, Opcode, to_unsigned
 from repro.mapping.spatial_mapper import SpatialMapping
 from repro.sim.engine import SimulationReport, finish_verify, resolve_engine
 from repro.sim.trace import TraceRecorder
@@ -58,9 +58,7 @@ class SpatialSimulator:
         every engine name executes the same phased replay."""
         resolve_engine(engine)
         dfg = self.dfg
-        total_iters = dfg.iterations if iterations is None else iterations
-        if total_iters < 1:
-            raise SimulationError("need at least one iteration")
+        total_iters = iteration_window(dfg, iterations)
         reference = memory.copy()
         working = memory.copy()
         spills: dict[str, list[int]] = {}
@@ -186,4 +184,4 @@ class SpatialSimulator:
                 args.append(1)
             else:
                 raise SimulationError(f"'{node.name}' missing operand {slot}")
-        return evaluate(node.op, args)
+        return OP_EVAL[node.op](*args)

@@ -86,23 +86,6 @@ class Scratchpad:
         self._accesses_this_cycle = 0
         self._banks_this_cycle.clear()
 
-    def _check_port(self) -> None:
-        self._accesses_this_cycle += 1
-        if self._accesses_this_cycle > self.banks:
-            raise SimulationError(
-                f"more than {self.banks} SPM accesses in one cycle"
-            )
-
-    def _charge_bank(self, offset: int) -> None:
-        """Per-bank charge: a repeat hit on an already-charged bank this
-        cycle is a conflict.  Diagnostic only — the raise stays with the
-        aggregate check so golden metrics are value-preserved."""
-        bank = offset % self.banks
-        if bank in self._banks_this_cycle:
-            self.bank_conflicts += 1
-        else:
-            self._banks_this_cycle.add(bank)
-
     def _offset(self, array: str, index: int) -> int:
         base = self._base.get(array)
         if base is None:
@@ -118,17 +101,32 @@ class Scratchpad:
         """Port charges since the last :meth:`begin_cycle` (diagnostics)."""
         return self._accesses_this_cycle
 
-    def read(self, array: str, index: int) -> int:
-        self._check_port()
+    def _access(self, array: str, index: int) -> int:
+        """Charge one access and return its word offset.
+
+        The port check comes first, then the bounds check, then the
+        per-bank charge: a repeat hit on an already-charged bank this
+        cycle is a conflict.  The conflict count is diagnostic only —
+        the raise stays with the aggregate check so golden metrics are
+        value-preserved."""
+        self._accesses_this_cycle += 1
+        if self._accesses_this_cycle > self.banks:
+            raise SimulationError(
+                f"more than {self.banks} SPM accesses in one cycle"
+            )
         offset = self._offset(array, index)
-        self._charge_bank(offset)
-        return self._data[offset]
+        bank = offset % self.banks
+        if bank in self._banks_this_cycle:
+            self.bank_conflicts += 1
+        else:
+            self._banks_this_cycle.add(bank)
+        return offset
+
+    def read(self, array: str, index: int) -> int:
+        return self._data[self._access(array, index)]
 
     def write(self, array: str, index: int, value: int) -> None:
-        self._check_port()
-        offset = self._offset(array, index)
-        self._charge_bank(offset)
-        self._data[offset] = to_unsigned(value)
+        self._data[self._access(array, index)] = to_unsigned(value)
 
     def bank_of(self, array: str, index: int) -> int:
         """Interleaved bank number of one word (diagnostics)."""

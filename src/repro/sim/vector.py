@@ -10,10 +10,11 @@ node histories as array operations:
   (bypass-before-production, unreadable/missing place deliveries,
   occupancy-before-production, place capacity, SPM ports, SPM bounds,
   missing operands) is decidable from the tables alone — the checks are
-  data-independent.  The screen runs once per (schedule, iteration
-  count); if *any* check could fire, the whole run is delegated to the
-  compiled engine, which raises the identical error at the identical
-  point.  The fast path below therefore only ever executes provably
+  data-independent.  The screen (:func:`repro.sim.engine.screen_schedule`,
+  shared with the compiled engine's own screened replay) runs once per
+  (schedule, iteration count); if *any* check could fire, the whole run
+  is delegated to the compiled engine, which raises the identical error
+  at the identical point.  The fast path below therefore only ever executes provably
   error-free windows.
 * **SCC value plan.**  Nodes are condensed into strongly connected
   components over data edges (any distance) plus *alias* edges tying
@@ -47,13 +48,11 @@ from __future__ import annotations
 
 import importlib.util
 
-from repro.errors import SimulationError
-from repro.ir.interpreter import MemoryImage
-from repro.ir.ops import Opcode, evaluate
+from repro.ir.interpreter import MemoryImage, iteration_window
+from repro.ir.ops import OP_EVAL, Opcode
 from repro.sim.engine import (
-    _ARG_CONST, _ARG_MISSING, _ARG_OPERAND, _EXEC_ALU, _EXEC_LOAD,
-    _EXEC_STORE, _SRC_BYPASS, _SRC_PLACE, CompiledSchedule,
-    SimulationReport, finish_verify,
+    _ARG_CONST, _ARG_OPERAND, _EXEC_ALU, _EXEC_LOAD, _EXEC_STORE,
+    CompiledSchedule, SimulationReport, finish_verify, screen_schedule,
 )
 
 #: numpy loads on the first numpy-engine run (:func:`_numpy`), not on
@@ -62,7 +61,7 @@ from repro.sim.engine import (
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 np = None
 
-__all__ = ["HAVE_NUMPY", "VectorSchedule", "screen_schedule", "vec_evaluate"]
+__all__ = ["HAVE_NUMPY", "VectorSchedule", "vec_evaluate"]
 
 _WORD_MASK = 0xFFFF
 
@@ -73,92 +72,6 @@ def _numpy():
     if np is None:
         import numpy
         np = numpy
-
-
-def screen_schedule(cs: CompiledSchedule, total: int, end_cycle: int,
-                    nodes, by_id) -> bool:
-    """True iff no error can possibly fire in this window.
-
-    All the compiled engine's checks (bypass-before-production,
-    unreadable/missing place deliveries, occupancy-before-production,
-    place capacity, SPM ports, missing operands) are data-independent,
-    so they are decidable from the tables alone, once per (schedule,
-    iteration count).  Both fast backends — the numpy
-    :class:`VectorSchedule` and the native C schedule
-    (:mod:`repro.native.simgen`) — gate on this screen and delegate any
-    window that fails it to the compiled engine, which raises the
-    identical error at the identical point.  Numpy-free on purpose: the
-    native backend screens without numpy installed.
-    """
-    ii = cs.ii
-    trips = cs.dfg.trip_counts
-    for cn in nodes:
-        if cn.sigma < 0 or cn.sigma > cs.makespan - 1:
-            return False                 # node would fire < total times
-        if cn.kind != _EXEC_ALU and cn.access is None:
-            return False                 # malformed memory node
-        if cn.kind == _EXEC_STORE and cn.store_pos < 0 \
-                and cn.const_u is None:
-            return False                 # store without a value
-        if cn.kind == _EXEC_ALU and any(
-                kind == _ARG_MISSING for kind, _ in cn.arg_plan):
-            return False                 # missing operand at execution
-        if cn.access is not None and len(cn.access.coeffs) > len(trips):
-            return False                 # address needs absent indices
-        for src, distance, mode, final_place, readable, index \
-                in cn.specs:
-            if distance >= total:
-                continue                 # never read: init value only
-            producer = by_id.get(src)
-            if producer is None:
-                return False
-            if mode == _SRC_BYPASS:
-                # Same-or-later-cycle production: bypass read misses.
-                if producer.sigma >= cn.sigma + distance * ii:
-                    return False
-            elif mode == _SRC_PLACE:
-                if not readable:
-                    return False
-                # The delivery must land exactly at every consuming
-                # cycle: the route needs (final_place, rel) with
-                # rel == sigma_dst + d*II, and rel >= 1 (transport
-                # starts delivering at cycle 1).
-                need_rel = cn.sigma + distance * ii
-                route = cs.mapping.routes.get(index)
-                if route is None or need_rel < 1 \
-                        or (final_place, need_rel) not in route.places:
-                    return False
-            else:
-                return False             # deferred = malformed route
-
-    # Transport: every occupancy must follow its net's production.
-    for route in cs.mapping.routes.values():
-        producer = by_id.get(route.net)
-        if producer is None:
-            return False
-        for _place, rel in route.places:
-            if producer.sigma >= rel:
-                return False
-
-    # Place capacity at steady state (ramp-up counts are subsets).
-    for phase_entries in cs.occ_phase:
-        per_place: dict[int, int] = {}
-        seen = set()
-        for entry in phase_entries:
-            if entry in seen:
-                continue                 # same (place, net, rel) dedups
-            seen.add(entry)
-            per_place[entry[0]] = per_place.get(entry[0], 0) + 1
-        for place, count in per_place.items():
-            if count > cs.arch.place(place).capacity:
-                return False
-
-    # SPM aggregate port limit per cycle (= per phase, steady state).
-    banks = cs.arch.spm_banks
-    for phase_list in cs.fire_phase:
-        if sum(1 for cn in phase_list if cn.kind != _EXEC_ALU) > banks:
-            return False
-    return True
 
 
 def vec_evaluate(op: Opcode, args):
@@ -250,9 +163,7 @@ class VectorSchedule:
     def execute(self, memory: MemoryImage, iterations: int | None = None,
                 verify: bool = True, trace=None) -> SimulationReport:
         cs = self.compiled
-        total = cs.dfg.iterations if iterations is None else iterations
-        if total < 1:
-            raise SimulationError("need at least one iteration")
+        total = iteration_window(cs.dfg, iterations)
         if trace is not None or not HAVE_NUMPY:
             return cs.execute(memory, iterations=iterations, verify=verify,
                               trace=trace)
@@ -274,9 +185,7 @@ class VectorSchedule:
             return cs.execute_batch(memories, iterations=iterations,
                                     verify=verify, trace=trace)
         _numpy()
-        total = cs.dfg.iterations if iterations is None else iterations
-        if total < 1:
-            raise SimulationError("need at least one iteration")
+        total = iteration_window(cs.dfg, iterations)
         plan = self._plan(total)
         if plan is None:
             return cs.execute_batch(memories, iterations=iterations,
@@ -611,7 +520,7 @@ class VectorSchedule:
                 args = [vals[payload] if kind == _ARG_OPERAND
                         else (payload if kind == _ARG_CONST else 1)
                         for kind, payload in cn.arg_plan]
-                value = evaluate(cn.op, args)
+                value = OP_EVAL[cn.op](*args)
             history[nid][k] = value
         for nid in members:
             out[nid] = np.array(history[nid],

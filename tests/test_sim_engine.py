@@ -11,10 +11,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import ReproError, SimulationError
+from repro.errors import IterationWindowError, ReproError, SimulationError
 from repro.eval.harness import build_arch, clear_caches, simulate_kernel
 from repro.frontend import compile_kernel
-from repro.ir.interpreter import DFGInterpreter
+from repro.ir.builder import DFGBuilder
+from repro.ir.interpreter import DFGInterpreter, MemoryImage
+from repro.ir.ops import Opcode
 from repro.mapping.engine import get_mapper
 from repro.sim import CGRASimulator, SpatialSimulator, TraceRecorder
 from repro.sim.engine import SimulationReport
@@ -75,6 +77,136 @@ def test_compiled_matches_reference_bit_for_bit(workload, arch_key,
     assert compiled_trace.events == reference_trace.events
 
 
+def _screened_path_used(simulator: CGRASimulator, iterations: int) -> bool:
+    """True iff the screen admitted this window (the run took the
+    screened replay, not the checked one)."""
+    return simulator.compiled().screened(iterations) is not None
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 6, None])
+@pytest.mark.parametrize("arch_key,mapper_key", GOLDEN_ARCHES)
+@pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
+def test_screened_replay_matches_checked_and_reference(workload, arch_key,
+                                                       mapper_key,
+                                                       iterations):
+    """Untraced runs take the screened replay; it must agree field for
+    field with the checked replay and the interpreted oracle."""
+    mapping = _mapping(workload, arch_key, mapper_key)
+    memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
+    simulator = CGRASimulator(mapping)
+    screened = simulator.run(memory, iterations=iterations)
+    checked = simulator.compiled().execute_checked(memory,
+                                                   iterations=iterations)
+    reference = simulator.run_reference(memory, iterations=iterations)
+    assert screened == checked == reference
+    assert screened.verified is True, screened.mismatches[:3]
+    total = mapping.dfg.iterations if iterations is None else iterations
+    assert _screened_path_used(simulator, total)
+
+
+@pytest.mark.parametrize("arch_key,mapper_key", GOLDEN_ARCHES)
+def test_screened_replay_reads_nonzero_init_values(arch_key, mapper_key):
+    """Register recurrences at distances 1 and 2 with nonzero init
+    values: before a producer's first iteration the screened replay must
+    read each consumer's own init value, as the checked replay does."""
+    b = DFGBuilder("recur", trip_counts=(12,))
+    x = b.load("x", coeffs=(1,))
+    acc = b.op(Opcode.ADD, x)
+    b.recurrence(acc, acc, operand_index=1, distance=1)
+    acc.annotations["init"] = 5
+    lag = b.op(Opcode.SUB, x)
+    b.recurrence(acc, lag, operand_index=1, distance=2)
+    lag.annotations["init"] = -3
+    b.store("y", acc, coeffs=(1,))
+    b.store("z", lag, coeffs=(1,))
+    dfg = b.build()
+    mapping = get_mapper(mapper_key).make(seed=3).map(dfg,
+                                                       build_arch(arch_key))
+    memory = DFGInterpreter(dfg).prepare_memory(fill=3)
+    simulator = CGRASimulator(mapping)
+    screened = simulator.run(memory)
+    assert screened == simulator.compiled().execute_checked(memory) \
+        == simulator.run_reference(memory)
+    assert screened.verified is True
+    assert _screened_path_used(simulator, 12)
+
+
+def test_screened_mismatch_reports_are_identical():
+    """Corrupt the program *after* compilation (bump an instruction
+    constant): the screened and checked replays both execute the
+    captured tables and must report the exact same MISMATCH against the
+    freshly interpreted reference."""
+    mapping = _mapping("dwconv", "st", "pathfinder")
+    simulator = CGRASimulator(mapping)
+    simulator.compiled()                     # freeze the firing tables
+    node = next(n for n in mapping.dfg.nodes if n.const is not None)
+    original = node.const
+    node.const = (node.const + 5) & 0x7F
+    try:
+        memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
+        got = simulator.run(memory, iterations=6)
+        want = simulator.compiled().execute_checked(memory, iterations=6)
+    finally:
+        # get_dfg() shares one cached DFG per workload; undo the
+        # corruption so later tests see the real dwconv program.
+        node.const = original
+    assert _screened_path_used(simulator, 6)
+    assert got == want
+    assert got.verified is False
+    assert got.mismatches == want.mismatches and got.mismatches
+
+
+def test_screened_spm_bounds_error_is_identical():
+    """SPM bounds depend on the memory image, not the tables: a screened
+    window over a truncated array raises the checked replay's error."""
+    mapping = _small_mapping()
+    prepared = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
+    arrays = {name: prepared.array(name) for name in prepared.names}
+    arrays["x"] = arrays["x"][:2]
+    memory = MemoryImage(arrays)
+    simulator = CGRASimulator(mapping)
+    outcomes = []
+    for runner in (simulator.run, simulator.compiled().execute_checked,
+                   simulator.run_reference):
+        with pytest.raises(SimulationError) as error:
+            runner(memory, iterations=8)
+        outcomes.append(str(error.value))
+    assert _screened_path_used(simulator, 8)
+    assert len(set(outcomes)) == 1 and "out of bounds" in outcomes[0]
+
+
+def test_route_carrying_another_net_is_screened_out():
+    """A route whose net is not the consumer's producer never delivers
+    the operand: the screen must send the window to the checked replay,
+    which fails exactly like the oracle."""
+    mapping = _small_mapping()
+    index, route = _routed_victim(mapping)
+    other = next(node.node_id for node in mapping.dfg.nodes
+                 if node.node_id != route.net)
+    mapping.routes[index] = replace(route, net=other)
+    simulator = CGRASimulator(mapping)
+    assert not _screened_path_used(simulator, 4)
+    memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
+
+    def outcome(runner):
+        try:
+            return ("ok", runner(memory, iterations=4))
+        except Exception as error:      # noqa: BLE001 — outcome capture
+            return ("err", type(error).__name__, str(error))
+
+    assert outcome(simulator.run) == outcome(
+        CGRASimulator(mapping).run_reference)
+
+
+def test_traced_runs_take_the_checked_replay():
+    mapping = _small_mapping()
+    memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
+    simulator = CGRASimulator(mapping, trace=TraceRecorder())
+    simulator.run(memory, iterations=4)
+    assert simulator.compiled()._replays == {}
+    assert simulator.trace.of_kind("exec")
+
+
 @pytest.mark.parametrize("iterations", [1, 2, None])
 def test_conformance_across_window_sizes(iterations):
     mapping = _small_mapping()
@@ -109,6 +241,34 @@ def test_zero_iterations_rejected_by_both_engines():
         simulator.run(memory, iterations=0)
     with pytest.raises(SimulationError, match="at least one iteration"):
         simulator.run_reference(memory, iterations=0)
+
+
+@pytest.mark.parametrize("iterations", [-1, 17, 100000])
+def test_window_past_iteration_space_rejected_everywhere(iterations):
+    """A window must lie in 1..dfg.iterations (16 points here): every
+    simulator front end raises the same structured error."""
+    mapping = _small_mapping()
+    memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
+    simulator = CGRASimulator(mapping)
+    runners = (simulator.run, simulator.run_reference,
+               simulator.compiled().execute_checked,
+               lambda m, iterations: simulator.run_batch(
+                   [m], iterations=iterations))
+    for runner in runners:
+        with pytest.raises(IterationWindowError) as error:
+            runner(memory, iterations=iterations)
+        assert (error.value.requested, error.value.available) \
+            == (iterations, 16)
+    assert simulator.run(memory, iterations=16).verified is True
+
+
+def test_spatial_window_past_iteration_space_rejected():
+    dfg = get_dfg("dwconv")
+    mapping = get_mapper("spatial").make(seed=3).map(
+        dfg, build_arch("spatial"))
+    memory = DFGInterpreter(dfg).prepare_memory(fill=3)
+    with pytest.raises(IterationWindowError, match="61 iterations exceed"):
+        SpatialSimulator(mapping).simulate(memory, iterations=61)
 
 
 def test_verify_false_is_unverified_in_both_engines():
