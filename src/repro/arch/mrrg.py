@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.arch.base import Architecture
 from repro.errors import MappingError
@@ -32,8 +33,7 @@ ResourceKey = tuple[str, object]
 _NO_PLAN = False
 
 
-@dataclass(frozen=True)
-class RouteStep:
+class RouteStep(NamedTuple):
     """One unit of resource usage by a routed value.
 
     kind: 'occupy' (place holds net at cycle), 'move' (resource charged for
@@ -57,10 +57,13 @@ class Route:
     arrive_cycle: int               # consumer execution cycle
     places: tuple[tuple[int, int], ...] = ()   # (place_id, cycle) occupancy
     bypass: bool = False
-    #: Memoized commit plan for core-bound MRRGs (one precomputed
-    #: (key, cycle, flat index, is_res, capacity) tuple per step) — the
+    #: Commit plan for core-bound MRRGs: one precomputed ((resource,
+    #: slot), cycle, flat index, is_res, capacity) tuple per step — the
     #: annealing mappers commit/uncommit the same route many times while
-    #: trialing candidates.  Derived state only: excluded from equality.
+    #: trialing candidates.  The compiled routing core sets it when it
+    #: builds the route; reference and native routes derive it lazily
+    #: (:meth:`MRRG._charge_plan`) on their first bound commit.  Derived
+    #: state only: excluded from equality.
     charge_plan: tuple | None = field(default=None, compare=False,
                                       repr=False)
 
@@ -97,9 +100,10 @@ class MRRG:
         # fu occupancy: (fu, slot) -> node_id
         self._fu_nodes: dict[tuple[int, int], int] = {}
         # Capacity-relevant usage per (resource, slot), maintained
-        # incrementally by _charge/_discharge in lock-step with _usage
-        # (same insertion and deletion order) so the congestion queries
-        # the router hammers are O(1) instead of per-net sums.
+        # incrementally by _charge/_discharge (and the plan loops of
+        # commit_route/uncommit_route) in lock-step with _usage (same
+        # insertion and deletion order) so the congestion queries the
+        # router hammers are O(1) instead of per-net sums.
         self._counts: dict[tuple[ResourceKey, int], int] = {}
         # Slots currently over capacity (key -> None; a dict for its
         # deterministic insertion order), and the total amount of
@@ -117,8 +121,8 @@ class MRRG:
         # (the history-free step cost of a non-sharing net), and
         # net_charges[net][rid * II + slot] -> {cycle: refs}, aliasing
         # the _usage cycle dicts (the fanout-sharing free-segment test).
-        # Both are maintained by _charge/_discharge in lock-step with
-        # _usage/_counts; unbound MRRGs pay nothing.
+        # Both are maintained by _charge/_discharge and the plan loops in
+        # lock-step with _usage/_counts; unbound MRRGs pay nothing.
         self._core = None
         self._cost_base: list[float] | None = None
         self._net_charges: dict[int, dict[int, dict[int, int]]] = {}
@@ -211,13 +215,13 @@ class MRRG:
     # FU placement
     # ------------------------------------------------------------------
     def fu_free(self, fu_id: int, cycle: int) -> bool:
-        return (fu_id, self.slot(cycle)) not in self._fu_nodes
+        return (fu_id, cycle % self.ii) not in self._fu_nodes
 
     def node_at(self, fu_id: int, cycle: int) -> int | None:
-        return self._fu_nodes.get((fu_id, self.slot(cycle)))
+        return self._fu_nodes.get((fu_id, cycle % self.ii))
 
     def place_node(self, node_id: int, fu_id: int, cycle: int) -> None:
-        key = (fu_id, self.slot(cycle))
+        key = (fu_id, cycle % self.ii)
         if key in self._fu_nodes:
             raise MappingError(
                 f"FU {fu_id} slot {key[1]} already holds node "
@@ -226,7 +230,7 @@ class MRRG:
         self._fu_nodes[key] = node_id
 
     def unplace_node(self, node_id: int, fu_id: int, cycle: int) -> None:
-        key = (fu_id, self.slot(cycle))
+        key = (fu_id, cycle % self.ii)
         if self._fu_nodes.get(key) != node_id:
             raise MappingError(f"node {node_id} not on FU {fu_id} @{key[1]}")
         del self._fu_nodes[key]
@@ -331,9 +335,43 @@ class MRRG:
             if plan is None:
                 plan = route.charge_plan = self._charge_plan(route)
             if plan is not _NO_PLAN:
+                # _charge for every step, with every derived value
+                # precomputed; mutates _usage/_counts/_overused/arrays in
+                # the exact order the per-step path does.  A cost_base
+                # cell is rewritten only when its count reaches capacity:
+                # below it the cell already holds 1.0.
                 net = route.net
+                usage = self._usage
+                counts = self._counts
+                base = self._cost_base
+                net_map = None
+                over_sum = 0
                 for key, cycle, index, is_res, cap in plan:
-                    self._charge_bound(net, key, cycle, index, is_res, cap)
+                    slot_usage = usage[key]
+                    cycles = slot_usage.get(net)
+                    if cycles is None:
+                        cycles = slot_usage[net] = {cycle: 1}
+                        if net_map is None:
+                            net_map = self._net_charges.get(net)
+                            if net_map is None:
+                                net_map = self._net_charges[net] = {}
+                        net_map[index] = cycles
+                    else:
+                        refs = cycles.get(cycle)
+                        if refs is not None:
+                            cycles[cycle] = refs + 1
+                            continue
+                        cycles[cycle] = 1
+                        if is_res:      # wires count distinct nets only
+                            continue
+                    count = counts.get(key, 0) + 1
+                    counts[key] = count
+                    if count >= cap:
+                        if count > cap:
+                            self._overused[key] = None
+                            over_sum += 1
+                        base[index] = 1.0 + 4.0 * (count + 1 - cap)
+                self._over_sum += over_sum
                 return
         for step in route.steps:
             self._charge(route.net, step.resource, step.cycle)
@@ -344,10 +382,52 @@ class MRRG:
             if plan is None:
                 plan = route.charge_plan = self._charge_plan(route)
             if plan is not _NO_PLAN:
+                # _discharge for every step (see commit_route).
                 net = route.net
+                usage = self._usage
+                counts = self._counts
+                base = self._cost_base
+                over_sum = 0
                 for key, cycle, index, is_res, cap in plan:
-                    self._discharge_bound(net, key, cycle, index,
-                                          is_res, cap)
+                    slot_usage = usage.get(key)
+                    if not slot_usage:
+                        continue
+                    cycles = slot_usage.get(net)
+                    if cycles is None:
+                        continue
+                    refs = cycles.get(cycle, 0)
+                    if refs > 1:
+                        cycles[cycle] = refs - 1
+                        continue
+                    counted = False
+                    if refs:
+                        del cycles[cycle]
+                        counted = not is_res
+                    if not cycles:
+                        del slot_usage[net]
+                        net_map = self._net_charges.get(net)
+                        if net_map is not None:
+                            net_map.pop(index, None)
+                            if not net_map:
+                                del self._net_charges[net]
+                        if is_res:
+                            counted = True
+                        if not slot_usage:
+                            del usage[key]
+                    if counted:
+                        remaining = counts[key] - 1
+                        if remaining:
+                            counts[key] = remaining
+                        else:
+                            del counts[key]
+                        if remaining >= cap:
+                            if remaining == cap:
+                                del self._overused[key]
+                            over_sum += 1
+                            base[index] = 1.0 + 4.0 * (remaining + 1 - cap)
+                        elif remaining + 1 == cap:
+                            base[index] = 1.0
+                self._over_sum -= over_sum
                 return
         for step in route.steps:
             self._discharge(route.net, step.resource, step.cycle)
@@ -373,74 +453,6 @@ class MRRG:
             plan.append(((resource, slot), step.cycle, rid * ii + slot,
                          resource[0] == "res", self.capacity(resource)))
         return tuple(plan)
-
-    def _charge_bound(self, net: int, key, cycle: int, index: int,
-                      is_res: bool, cap: int) -> None:
-        """:meth:`_charge` with every derived value precomputed; must
-        mutate _usage/_counts/_overused/arrays in the exact same order."""
-        slot_usage = self._usage[key]
-        cycles = slot_usage.get(net)
-        if cycles is None:
-            cycles = slot_usage[net] = {}
-            net_map = self._net_charges.get(net)
-            if net_map is None:
-                net_map = self._net_charges[net] = {}
-            net_map[index] = cycles
-            if is_res:
-                self._count_up_bound(key, index, cap)
-        refs = cycles.get(cycle)
-        if refs is None:
-            cycles[cycle] = 1
-            if not is_res:
-                self._count_up_bound(key, index, cap)
-        else:
-            cycles[cycle] = refs + 1
-
-    def _count_up_bound(self, key, index: int, cap: int) -> None:
-        count = self._counts.get(key, 0) + 1
-        self._counts[key] = count
-        if count > cap:
-            self._overused[key] = None
-            self._over_sum += 1
-        over = count + 1 - cap
-        self._cost_base[index] = 1.0 + 4.0 * over if over > 0 else 1.0
-
-    def _discharge_bound(self, net: int, key, cycle: int, index: int,
-                         is_res: bool, cap: int) -> None:
-        slot_usage = self._usage.get(key)
-        if not slot_usage or net not in slot_usage:
-            return
-        cycles = slot_usage[net]
-        count = cycles.get(cycle, 0)
-        if count <= 1:
-            if cycles.pop(cycle, None) is not None and not is_res:
-                self._count_down_bound(key, index, cap)
-        else:
-            cycles[cycle] = count - 1
-        if not cycles:
-            del slot_usage[net]
-            net_map = self._net_charges.get(net)
-            if net_map is not None:
-                net_map.pop(index, None)
-                if not net_map:
-                    del self._net_charges[net]
-            if is_res:
-                self._count_down_bound(key, index, cap)
-        if not slot_usage:
-            del self._usage[key]
-
-    def _count_down_bound(self, key, index: int, cap: int) -> None:
-        remaining = self._counts[key] - 1
-        if remaining:
-            self._counts[key] = remaining
-        else:
-            del self._counts[key]
-        if remaining >= cap:
-            if remaining == cap:
-                del self._overused[key]
-            self._over_sum -= 1
-        over = remaining + 1 - cap
-        self._cost_base[index] = 1.0 + 4.0 * over if over > 0 else 1.0
 
     # ------------------------------------------------------------------
     # Congestion queries

@@ -24,6 +24,7 @@ strategy, with one restart per candidate motif decomposition.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG, Route
@@ -31,7 +32,7 @@ from repro.arch.specialize import hardwired_motif_kinds
 from repro.errors import MappingError
 from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
-from repro.mapping.common import mapping_cost, modulo_asap, schedule_horizon
+from repro.mapping.common import modulo_asap, schedule_horizon
 from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
 from repro.mapping.router import route_edge, transport_latency_table
 from repro.motifs.hierarchy import HierarchicalDFG, build_hierarchy
@@ -73,31 +74,33 @@ class PlaidMapper(MapperStrategy):
             )
         hardwired = hardwired_motif_kinds(arch)
         if hierarchy is not None:
-            hierarchies = [hierarchy]
-        else:
-            # Algorithm 1 is stochastic; a different decomposition often
-            # relieves structural congestion, so failures retry with fresh
-            # motif seeds before giving up.
-            base = self.motif_seed if self.motif_seed is not None else 11
-            hierarchies = [
-                build_hierarchy(dfg, seed=base + 12 * offset)
-                for offset in range(3)
-            ]
-        if hardwired is not None:
-            hierarchies = [
-                demote_for_hardwired(h, hardwired) for h in hierarchies
-            ]
-        return (hierarchies, hardwired)
+            if hardwired is not None:
+                hierarchy = demote_for_hardwired(hierarchy, hardwired)
+            return ([hierarchy], hardwired, None)
+        # Algorithm 1 is stochastic; a different decomposition often
+        # relieves structural congestion, so failures retry with fresh
+        # motif seeds before giving up.  Each decomposition is built when
+        # a restart first needs it: build_hierarchy draws from its own
+        # seed, never from the search's RNG, so the order of building
+        # changes nothing.
+        base = self.motif_seed if self.motif_seed is not None else 11
+        return ([None] * 3, hardwired, base)
 
     def attempts_per_ii(self, ii: int, context) -> int:
-        hierarchies, _hardwired = context
+        hierarchies, _hardwired, _base = context
         return len(hierarchies)
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
                    restart: int, rng, lease: MRRGLease,
                    context) -> Mapping | None:
-        hierarchies, hardwired = context
-        state = _State(dfg, arch, hierarchies[restart], ii,
+        hierarchies, hardwired, base = context
+        hierarchy = hierarchies[restart]
+        if hierarchy is None:
+            hierarchy = build_hierarchy(dfg, seed=base + 12 * restart)
+            if hardwired is not None:
+                hierarchy = demote_for_hardwired(hierarchy, hardwired)
+            hierarchies[restart] = hierarchy
+        state = _State(dfg, arch, hierarchy, ii,
                        hardwired, rng, mrrg=lease.fresh())
         return self._solve(state)
 
@@ -256,7 +259,10 @@ class _State:
         self.mrrg = mrrg if mrrg is not None else MRRG(arch, ii)
         self.placement: dict[int, tuple[int, int]] = {}
         #: Data-edge index -> committed route (ordering edges never route).
+        #: Changed only through _set_route/_pop_route, which keep
+        #: ``_steps`` (the routes' summed step count) current.
         self.routes: dict[int, Route] = {}
+        self._steps = 0
         self.unplaced: set[int] = set()
         self.group_of_edge: dict[int, tuple[int, int]] = {}
         self.order = hierarchy.dependency_order()
@@ -276,12 +282,15 @@ class _State:
         incident: list[list[tuple]] = [[] for _ in groups]
         ext_in: list[list[tuple]] = [[] for _ in groups]
         ext_out: list[list[tuple]] = [[] for _ in groups]
+        #: edge index -> (src, dst, distance * II, is_ordering).
+        self._edge_rows: list[tuple] = []
         for index, edge in enumerate(self._edge_list):
             sg = hierarchy.group_of(edge.src)
             dg = hierarchy.group_of(edge.dst)
             self.group_of_edge[index] = (sg, dg)
             delay = edge.distance * ii
             row = (edge.src, edge.dst, delay, edge.is_ordering)
+            self._edge_rows.append(row)
             self._incident_groups[sg].append(index)
             incident[sg].append(row)
             if dg != sg:
@@ -368,7 +377,7 @@ class _State:
                     found += 1
                     if found >= 3:
                         break
-        candidates.sort(key=lambda c: c[0])
+        candidates.sort(key=itemgetter(0))
         return self._commit_best(group, [c[1] for c in candidates[:6]])
 
     def place_group_random(self) -> bool:
@@ -395,7 +404,7 @@ class _State:
                 estimate = self._estimate(group, spots)
                 if estimate != math.inf:
                     candidates.append((estimate, spots))
-        candidates.sort(key=lambda c: c[0])
+        candidates.sort(key=itemgetter(0))
         return self._commit_best(group,
                                  [c[1] for c in candidates[:4]])   # line 11
 
@@ -531,22 +540,30 @@ class _State:
         self._place_spots(spots)
         new_routes: dict[int, Route] = {}
         failed = 0
+        cost = 0
+        placement = self.placement
+        mrrg = self.mrrg
+        rows = self._edge_rows
         for index in self._incident_groups[group]:
-            edge = self._edge_list[index]
-            if edge.is_ordering:
-                if not self._ordering_ok(edge):
+            src, dst, delay, ordering = rows[index]
+            src_spot = placement.get(src)
+            dst_spot = placement.get(dst)
+            if src_spot is None or dst_spot is None:
+                continue
+            if ordering:
+                if dst_spot[1] + delay < src_spot[1] + 1:
                     failed += 1
                 continue
-            if edge.src not in self.placement \
-                    or edge.dst not in self.placement:
-                continue
-            route = self._route_index(index)
+            route = route_edge(mrrg, src, src_spot[0], src_spot[1],
+                               dst_spot[0], dst_spot[1] + delay)
             if route is None:
                 failed += 1
             else:
                 new_routes[index] = route
+                cost += len(route.steps)
         ripped = failed == 0 and self._negotiate(new_routes)
-        cost = sum(len(route.steps) for route in new_routes.values())
+        if ripped:      # negotiation may have rerouted new routes
+            cost = sum(len(route.steps) for route in new_routes.values())
         total = 1000.0 * failed + 100.0 * self.mrrg.total_overuse() + cost
         if keep and failed == 0:
             self._keep(group, spots, new_routes)
@@ -569,16 +586,29 @@ class _State:
     def _keep(self, group: int, spots, new_routes: dict[int, Route]) -> None:
         """Record a committed group and its routes."""
         self.group_spots[group] = list(spots)
-        self.routes.update(new_routes)
+        for index, route in new_routes.items():
+            self._set_route(index, route)
         self.unplaced.discard(group)
 
+    def _set_route(self, index: int, route: Route) -> None:
+        old = self.routes.get(index)
+        if old is not None:
+            self._steps -= len(old.steps)
+        self.routes[index] = route
+        self._steps += len(route.steps)
+
+    def _pop_route(self, index: int) -> Route | None:
+        route = self.routes.pop(index, None)
+        if route is not None:
+            self._steps -= len(route.steps)
+        return route
+
     def _route_index(self, index: int) -> Route | None:
-        edge = self._edge_list[index]
-        src_fu, src_cycle = self.placement[edge.src]
-        dst_fu, dst_cycle = self.placement[edge.dst]
-        arrival = dst_cycle + edge.distance * self.ii
-        return route_edge(self.mrrg, edge.src, src_fu, src_cycle,
-                          dst_fu, arrival)
+        src, dst, delay, _ordering = self._edge_rows[index]
+        src_fu, src_cycle = self.placement[src]
+        dst_fu, dst_cycle = self.placement[dst]
+        return route_edge(self.mrrg, src, src_fu, src_cycle,
+                          dst_fu, dst_cycle + delay)
 
     def _negotiate(self, new_routes: dict[int, Route],
                    rounds: int = 2) -> bool:
@@ -604,8 +634,7 @@ class _State:
                 if index not in new_routes
             ]
             for index, route in candidates:
-                if not any((s.resource, self.mrrg.slot(s.cycle)) in hot
-                           for s in route.steps):
+                if not self._touches(route, hot):
                     continue
                 ripped = True
                 self.mrrg.uncommit_route(route)
@@ -616,7 +645,7 @@ class _State:
                 if index in new_routes or index not in self.routes:
                     new_routes[index] = redone
                 else:
-                    self.routes[index] = redone
+                    self._set_route(index, redone)
         return ripped
 
     def _ordering_ok(self, edge) -> bool:
@@ -659,8 +688,7 @@ class _State:
             return []
         groups: set[int] = set()
         for index, route in self.routes.items():
-            if any((step.resource, self.mrrg.slot(step.cycle)) in hot
-                   for step in route.steps):
+            if self._touches(route, hot):
                 src_group, dst_group = self.group_of_edge[index]
                 if src_group in self.group_spots:
                     groups.add(src_group)
@@ -668,12 +696,29 @@ class _State:
                     groups.add(dst_group)
         return sorted(groups)
 
+    def _touches(self, route: Route, hot) -> bool:
+        """Whether ``route`` charges one of the ``(resource, slot)`` keys
+        in ``hot``.  A committed compiled route carries its keys in its
+        charge plan; routes without a plan (reference engine) derive them
+        from their steps."""
+        plan = route.charge_plan
+        if plan:
+            for entry in plan:
+                if entry[0] in hot:
+                    return True
+            return False
+        ii = self.ii
+        for step in route.steps:
+            if (step.resource, step.cycle % ii) in hot:
+                return True
+        return False
+
     def unmap_group(self, group: int):
         """Remove a group's nodes and every route touching them."""
         saved_spots = self.group_spots.pop(group, [])
         saved_routes: dict[int, Route] = {}
         for index in self._incident_groups[group]:
-            route = self.routes.pop(index, None)
+            route = self._pop_route(index)
             if route is not None:
                 saved_routes[index] = route
                 self.mrrg.uncommit_route(route)
@@ -700,7 +745,7 @@ class _State:
         for index, route in saved_routes.items():
             edge = self._edge_list[index]
             if edge.src in self.placement and edge.dst in self.placement:
-                self.routes[index] = route
+                self._set_route(index, route)
                 self.mrrg.commit_route(route)
         self.group_spots[group] = saved_spots
         self.unplaced.discard(group)
@@ -713,9 +758,11 @@ class _State:
                         for edge in self._ordering_edges))
 
     def cost(self) -> float:
+        """:func:`~repro.mapping.common.mapping_cost` plus the unplaced
+        penalty, term for term, over the running step count."""
         missing = self._n_data_edges - len(self.routes)
-        return mapping_cost(self.mrrg, self.routes, missing) \
-            + 500.0 * len(self.unplaced)
+        return 1000.0 * missing + 100.0 * self.mrrg.total_overuse() \
+            + 1.0 * self._steps + 500.0 * len(self.unplaced)
 
 
 register_mapper(

@@ -17,6 +17,15 @@ engine pattern (PR 2 mapping engine, PR 3 compiled simulator):
   relative_cycle``; ``dist``/``parent`` are preallocated flat arrays
   reset by epoch stamping, so a search allocates nothing but its heap
   entries;
+* per consumer FU, ``reach[fu][place]`` is the fewest transitions from a
+  place to one of the FU's consume places (reverse BFS over the
+  adjacency).  A state whose reach exceeds the cycles it has left is
+  dropped at push time: neither it nor any descendant can arrive in
+  time, and every state that can has a parent that can, so the pruned
+  search pops the surviving states in the unpruned order;
+* the route found carries its commit plan, built from per-core
+  ``(resource, slot)`` key and capacity tables while the path is
+  reconstructed, so committing it never has to look a resource up;
 * PathFinder's negotiated-congestion history is a
   :class:`RoutingHistory`: a ``(resource, slot)`` dict (the reference
   view) and a flat ``hist[rid * II + slot]`` array updated together.
@@ -58,6 +67,11 @@ from repro.utils.signature import arch_structural_key
 #: re-exports it; defined here so the core can size its state arrays
 #: without a circular import).
 MAX_TRANSPORT_CYCLES = 64
+
+#: ``RouteCore.reach`` entry of a place that cannot reach the FU's
+#: consume places within ``MAX_TRANSPORT_CYCLES`` transitions — larger
+#: than the cycles left to any search state, so such states are pruned.
+UNREACHABLE = MAX_TRANSPORT_CYCLES
 
 ROUTING_ENGINES = ("compiled", "native", "reference")
 
@@ -236,10 +250,19 @@ class RouteCore:
             goal_rid.append(row)
         self.goal_rid = goal_rid
         self.bypass_pairs = frozenset(arch.bypass_pairs)
+        self.reach = _reach_rows(arch, n_places)
 
         self.rid_of = rid_of
         self.key_of = tuple(key_of)
         self.n_rids = len(key_of)
+        # Commit-plan tables: capacity per rid, and the MRRG's
+        # ``(resource, slot)`` usage key per flat index rid * II + slot.
+        self.cap = tuple(
+            [arch.place(place_id).capacity for place_id in range(n_places)]
+            + [arch.resource_caps.get(name, 1)
+               for _kind, name in key_of[n_places:]])
+        self.slot_keys = tuple(
+            (key, slot) for key in key_of for slot in range(ii))
 
         flat = self.n_rids * ii
         #: Shared all-zero history for history-free callers (never written).
@@ -254,6 +277,41 @@ class RouteCore:
         self._parent_state = [0] * size
         self._parent_move = [0] * size
         self._epoch = 0
+
+
+def _reach_rows(arch: Architecture, n_places: int) -> list[list[int]]:
+    """Per consumer FU, the fewest transitions from each place to one of
+    its consume places (``UNREACHABLE`` when none is that close).
+
+    Multi-source BFS backwards over ``arch.moves``; FUs that share a
+    consume-place set share one row.
+    """
+    incoming: list[list[int]] = [[] for _ in range(n_places)]
+    for move in arch.moves:
+        incoming[move.dst].append(move.src)
+    rows: dict[tuple[int, ...], list[int]] = {}
+    reach = []
+    for fu_id in range(len(arch.fus)):
+        goals = tuple(sorted(arch.consume_places[fu_id]))
+        row = rows.get(goals)
+        if row is None:
+            row = [UNREACHABLE] * n_places
+            for place_id in goals:
+                row[place_id] = 0
+            frontier = list(goals)
+            depth = 0
+            while frontier and depth + 1 < UNREACHABLE:
+                depth += 1
+                next_frontier = []
+                for place_id in frontier:
+                    for src in incoming[place_id]:
+                        if row[src] == UNREACHABLE:
+                            row[src] = depth
+                            next_frontier.append(src)
+                frontier = next_frontier
+            rows[goals] = row
+        reach.append(row)
+    return reach
 
 
 #: Core cache keyed like the MRRG pool: (arch structural key, II).
@@ -301,7 +359,8 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     :meth:`MRRG.step_cost` term by term — ``cost_base`` already holds
     ``1.0 + present_factor * overuse`` — and the heap orders ``(cost,
     state)`` exactly like the reference ``(cost, place, cycle)`` tuples,
-    so ties resolve identically.
+    so ties resolve identically.  States that cannot reach a consume
+    place in the cycles left (``core.reach``) are never pushed.
     """
     span = arrive_cycle - depart_cycle
     if span < 1 or span > MAX_TRANSPORT_CYCLES:
@@ -310,7 +369,7 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     if span == 1 and (src_fu, dst_fu) in core.bypass_pairs:
         route = Route(net=net, steps=(), src_fu=src_fu, dst_fu=dst_fu,
                       depart_cycle=depart_cycle, arrive_cycle=arrive_cycle,
-                      bypass=True)
+                      bypass=True, charge_plan=())
         if commit:
             mrrg.commit_route(route)
         return route
@@ -320,6 +379,12 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     stride = MAX_TRANSPORT_CYCLES
     start_place = core.produce_place[src_fu]
     start_cycle = depart_cycle + 1
+    key_of = core.key_of
+    slot_keys = core.slot_keys
+    caps = core.cap
+    # RouteStep(kind, resource, cycle) without the NamedTuple
+    # constructor's Python-level frame.
+    new_step = tuple.__new__
 
     if span == 1:
         # Single-state search: the value sits in the producer's place for
@@ -330,22 +395,30 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
         read = core.goal_rid[dst_fu][start_place]
         if read == -1:
             return None
-        key_of = core.key_of
-        steps = [RouteStep("occupy", key_of[start_place], arrive_cycle)]
+        index = start_place * ii + arrive_cycle % ii
+        steps = [new_step(RouteStep,
+                          ("occupy", key_of[start_place], arrive_cycle))]
+        plan = [(slot_keys[index], arrive_cycle, index, False,
+                 caps[start_place])]
         if read != -2:
-            steps.append(RouteStep("read", key_of[read], arrive_cycle))
-        route = Route(
-            net=net,
-            steps=tuple(steps),
-            src_fu=src_fu,
-            dst_fu=dst_fu,
-            depart_cycle=depart_cycle,
-            arrive_cycle=arrive_cycle,
-            places=((start_place, arrive_cycle),),
-        )
+            index = read * ii + arrive_cycle % ii
+            steps.append(new_step(RouteStep,
+                                  ("read", key_of[read], arrive_cycle)))
+            plan.append((slot_keys[index], arrive_cycle, index, True,
+                         caps[read]))
+        # Positional Route(net, steps, src_fu, dst_fu, depart_cycle,
+        # arrive_cycle, places, bypass, charge_plan): keywords cost more.
+        route = Route(net, tuple(steps), src_fu, dst_fu, depart_cycle,
+                      arrive_cycle, ((start_place, arrive_cycle),), False,
+                      tuple(plan))
         if commit:
             mrrg.commit_route(route)
         return route
+
+    reach = core.reach[dst_fu]
+    rel_goal = span - 1
+    if reach[start_place] > rel_goal:
+        return None        # the start state itself is pruned
 
     # Segments already charged by this net are free (fanout sharing):
     # charges maps rid * II + slot -> {absolute cycle: refs} for exactly
@@ -353,13 +426,18 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     # index ranges, so one membership probe per cost suffices.
     charges = mrrg._net_charges.get(net) or None
     has_charges = charges is not None
+    # History terms are exactly 0.0 in the shared zero array, and x + 0.0
+    # == x for these non-negative costs, so zero history is never read.
+    has_hist = hist is not core.zero_hist
 
     sslot = start_cycle % ii
     sidx = start_place * ii + sslot
     if has_charges and sidx in charges and start_cycle in charges[sidx]:
         start_cost = 0.0
-    else:
+    elif has_hist:
         start_cost = base[sidx] + hist[sidx]
+    else:
+        start_cost = base[sidx]
 
     dist = core._dist
     stamp = core._stamp
@@ -369,7 +447,6 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     epoch = core._epoch
     adj = core.adj
     goal_row = core.goal_rid[dst_fu]
-    rel_goal = span - 1
     arrive_slot = arrive_cycle % ii
 
     state0 = start_place * stride
@@ -391,7 +468,10 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     # stream — a hold charges no move resource, every history term is
     # exactly 0.0, and x + 0.0 == x for these non-negative costs, so
     # skipping the zero terms keeps costs bit-identical to the reference.
-    if not has_charges and hist is core.zero_hist:
+    # A transition into a place more than ``left`` moves from every
+    # consume place is never pushed (``left`` counts the transitions
+    # remaining after it).
+    if not has_charges and not has_hist:
         while heap:
             cost, state = pop(heap)
             if cost >= goal_cost:
@@ -415,23 +495,27 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
             cycle = start_cycle + rel
             cslot = cycle % ii
             nslot = (cycle + 1) % ii
+            left = rel_goal - rel - 1
             # Hold in place for a cycle.
-            new_cost = cost + base[place * ii + nslot]
-            nstate = state + 1
-            if stamp[nstate] != epoch:
-                stamp[nstate] = epoch
-                dist[nstate] = new_cost
-                pstate[nstate] = state
-                pmove[nstate] = -1
-                push(heap, (new_cost, nstate))
-            elif new_cost < dist[nstate]:
-                dist[nstate] = new_cost
-                pstate[nstate] = state
-                pmove[nstate] = -1
-                push(heap, (new_cost, nstate))
+            if reach[place] <= left:
+                new_cost = cost + base[place * ii + nslot]
+                nstate = state + 1
+                if stamp[nstate] != epoch:
+                    stamp[nstate] = epoch
+                    dist[nstate] = new_cost
+                    pstate[nstate] = state
+                    pmove[nstate] = -1
+                    push(heap, (new_cost, nstate))
+                elif new_cost < dist[nstate]:
+                    dist[nstate] = new_cost
+                    pstate[nstate] = state
+                    pmove[nstate] = -1
+                    push(heap, (new_cost, nstate))
             # Moves to connected places.
             nrel = rel + 1
             for dst_place, move_rid in adj[place]:
+                if reach[dst_place] > left:
+                    continue
                 new_cost = cost + base[move_rid * ii + cslot] \
                     + base[dst_place * ii + nslot]
                 nstate = dst_place * stride + nrel
@@ -447,6 +531,8 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
                     pmove[nstate] = move_rid
                     push(heap, (new_cost, nstate))
     else:
+        if not has_charges:
+            charges = ()
         while heap:
             cost, state = pop(heap)
             if cost >= goal_cost:
@@ -459,14 +545,15 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
                 read = goal_row[place]
                 if read != -1:
                     if read == -2:
-                        read_cost = 0.0
+                        total = cost
                     else:
                         ridx = read * ii + arrive_slot
-                        if has_charges and ridx in charges:
-                            read_cost = 0.0
+                        if ridx in charges:
+                            total = cost
+                        elif has_hist:
+                            total = cost + (base[ridx] + hist[ridx])
                         else:
-                            read_cost = base[ridx] + hist[ridx]
-                    total = cost + read_cost
+                            total = cost + base[ridx]
                     if total < goal_cost:
                         goal_cost = total
                         goal_state = state
@@ -476,40 +563,47 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
             next_cycle = cycle + 1
             cslot = cycle % ii
             nslot = next_cycle % ii
+            left = rel_goal - rel - 1
             # Hold in place for a cycle.
-            oidx = place * ii + nslot
-            if has_charges and oidx in charges \
-                    and next_cycle in charges[oidx]:
-                occupy_cost = 0.0
-            else:
-                occupy_cost = base[oidx] + hist[oidx]
-            new_cost = cost + occupy_cost
-            nstate = state + 1
-            if stamp[nstate] != epoch:
-                stamp[nstate] = epoch
-                dist[nstate] = new_cost
-                pstate[nstate] = state
-                pmove[nstate] = -1
-                push(heap, (new_cost, nstate))
-            elif new_cost < dist[nstate]:
-                dist[nstate] = new_cost
-                pstate[nstate] = state
-                pmove[nstate] = -1
-                push(heap, (new_cost, nstate))
+            if reach[place] <= left:
+                oidx = place * ii + nslot
+                if oidx in charges and next_cycle in charges[oidx]:
+                    new_cost = cost
+                elif has_hist:
+                    new_cost = cost + (base[oidx] + hist[oidx])
+                else:
+                    new_cost = cost + base[oidx]
+                nstate = state + 1
+                if stamp[nstate] != epoch:
+                    stamp[nstate] = epoch
+                    dist[nstate] = new_cost
+                    pstate[nstate] = state
+                    pmove[nstate] = -1
+                    push(heap, (new_cost, nstate))
+                elif new_cost < dist[nstate]:
+                    dist[nstate] = new_cost
+                    pstate[nstate] = state
+                    pmove[nstate] = -1
+                    push(heap, (new_cost, nstate))
             # Moves to connected places.
             nrel = rel + 1
             for dst_place, move_rid in adj[place]:
+                if reach[dst_place] > left:
+                    continue
                 midx = move_rid * ii + cslot
-                if has_charges and midx in charges:
+                if midx in charges:
                     move_cost = 0.0
-                else:
+                elif has_hist:
                     move_cost = base[midx] + hist[midx]
-                oidx = dst_place * ii + nslot
-                if has_charges and oidx in charges \
-                        and next_cycle in charges[oidx]:
-                    occupy_cost = 0.0
                 else:
+                    move_cost = base[midx]
+                oidx = dst_place * ii + nslot
+                if oidx in charges and next_cycle in charges[oidx]:
+                    occupy_cost = 0.0
+                elif has_hist:
                     occupy_cost = base[oidx] + hist[oidx]
+                else:
+                    occupy_cost = base[oidx]
                 new_cost = cost + move_cost + occupy_cost
                 nstate = dst_place * stride + nrel
                 if stamp[nstate] != epoch:
@@ -527,39 +621,45 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     if goal_state == -1:
         return None
 
-    # Reconstruct occupancy/move steps (identical step order to the
-    # reference: backward walk, then reverse, then the consume read).
-    key_of = core.key_of
+    # Reconstruct occupancy/move steps and their charge plan (identical
+    # step order to the reference: backward walk, then reverse, then the
+    # consume read).
     steps: list[RouteStep] = []
+    plan: list[tuple] = []
     places: list[tuple[int, int]] = []
     state = goal_state
     while True:
         place, rel = divmod(state, stride)
         cycle = start_cycle + rel
-        steps.append(RouteStep("occupy", key_of[place], cycle))
+        index = place * ii + cycle % ii
+        steps.append(new_step(RouteStep, ("occupy", key_of[place], cycle)))
+        plan.append((slot_keys[index], cycle, index, False, caps[place]))
         places.append((place, cycle))
         parent = pstate[state]
         if parent == -1:
             break
         move_rid = pmove[state]
         if move_rid != -1:
-            steps.append(RouteStep("move", key_of[move_rid], cycle - 1))
+            cycle -= 1
+            index = move_rid * ii + cycle % ii
+            steps.append(new_step(RouteStep,
+                                  ("move", key_of[move_rid], cycle)))
+            plan.append((slot_keys[index], cycle, index, True,
+                         caps[move_rid]))
         state = parent
     steps.reverse()
+    plan.reverse()
     places.reverse()
 
     if goal_read != -2:
-        steps.append(RouteStep("read", key_of[goal_read], arrive_cycle))
+        index = goal_read * ii + arrive_slot
+        steps.append(new_step(RouteStep,
+                              ("read", key_of[goal_read], arrive_cycle)))
+        plan.append((slot_keys[index], arrive_cycle, index, True,
+                     caps[goal_read]))
 
-    route = Route(
-        net=net,
-        steps=tuple(steps),
-        src_fu=src_fu,
-        dst_fu=dst_fu,
-        depart_cycle=depart_cycle,
-        arrive_cycle=arrive_cycle,
-        places=tuple(places),
-    )
+    route = Route(net, tuple(steps), src_fu, dst_fu, depart_cycle,
+                  arrive_cycle, tuple(places), False, tuple(plan))
     if commit:
         mrrg.commit_route(route)
     return route

@@ -39,7 +39,7 @@ __all__ = [
 
 #: Bumped whenever generated C or its ABI changes; baked into artifact
 #: filenames so ``repro cache gc`` can prune stale generations.
-NATIVE_SCHEMA_VERSION = 1
+NATIVE_SCHEMA_VERSION = 2
 
 NATIVE_DIR_ENV = "REPRO_NATIVE_DIR"
 NATIVE_CC_ENV = "REPRO_NATIVE_CC"

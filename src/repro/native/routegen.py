@@ -7,8 +7,9 @@ the per-FU goal rows) baked in as constants.  The C search mirrors
 :func:`~repro.mapping.routecore.route_edge_compiled` statement for
 statement: the same integer states (``place * 64 + rel``), the same
 epoch-stamped scratch, both relaxation-loop variants (probe-free and
-charges/history), and a binary min-heap ordered lexicographically on
-``(cost, state)``.
+charges/history), the same push-time prune on the core's ``reach`` rows
+(baked in next to the goal rows), and a binary min-heap ordered
+lexicographically on ``(cost, state)``.
 
 Bit-identity holds by construction: every heap key is distinct (a state
 is only re-pushed with a strictly smaller cost), so *any* correct
@@ -40,6 +41,8 @@ from repro.arch.mrrg import MRRG, Route, RouteStep
 __all__ = ["native_route_search", "route_edge_native", "route_source"]
 
 _STRIDE = MAX_TRANSPORT_CYCLES
+#: Path slots per output section (the longest path has STRIDE + 1 states).
+_OUT_SLOTS = _STRIDE + 1
 
 _TEMPLATE = r"""
 /* Generated by repro.native.routegen (schema v%(schema)d). Do not edit. */
@@ -137,16 +140,33 @@ static inline int ch_at_(const int32_t *keys, const int64_t *off,
     } \
 } while (0)
 
+/* Scalars arrive packed (params: dst_fu, start_place, start_cycle,
+   arrive_slot, rel_goal, probe_free, n_ch) and the path leaves through
+   one buffer (places, rels and moves, STRIDE + 1 slots each, then the
+   goal read): ctypes converts every argument on every call, so eight
+   reused buffers cost far less than seventeen scalars and pointers. */
 int64_t route_search(const double *base, const double *hist,
-                     int32_t dst_fu, int32_t start_place,
-                     int64_t start_cycle, int64_t arrive_slot,
-                     int32_t rel_goal, double start_cost, int32_t probe_free,
-                     int64_t n_ch, const int32_t *ch_keys,
-                     const int64_t *ch_off, const int64_t *ch_cyc,
-                     int32_t *out_places, int32_t *out_rels,
-                     int32_t *out_moves, int32_t *out_read)
+                     const int64_t *params, const double *start_cost_in,
+                     const int32_t *ch_keys, const int64_t *ch_off,
+                     const int64_t *ch_cyc, int32_t *out)
 {
+    int32_t dst_fu = (int32_t)params[0];
+    int32_t start_place = (int32_t)params[1];
+    int64_t start_cycle = params[2];
+    int64_t arrive_slot = params[3];
+    int32_t rel_goal = (int32_t)params[4];
+    int32_t probe_free = (int32_t)params[5];
+    int64_t n_ch = params[6];
+    double start_cost = start_cost_in[0];
+    int32_t *out_places = out;
+    int32_t *out_rels = out + (STRIDE + 1);
+    int32_t *out_moves = out + 2 * (STRIDE + 1);
+    int32_t *out_read = out + 3 * (STRIDE + 1);
     const int32_t *goal_row = GOAL + (int64_t)dst_fu * N_PLACES;
+    /* Fewest moves from each place to a consume place: a state with
+       more than the transitions it has left is never pushed. */
+    const int32_t *reach = REACH + (int64_t)dst_fu * N_PLACES;
+    if (reach[start_place] > rel_goal) return 0;
     int64_t epoch = ++epoch_;
     int64_t heap_n = 0;
 
@@ -187,12 +207,17 @@ int64_t route_search(const double *base, const double *hist,
             int64_t cycle = start_cycle + rel;
             int64_t cslot = cycle %% II;
             int64_t nslot = (cycle + 1) %% II;
-            double new_cost = cost + base[(int64_t)place * II + nslot];
-            RELAX(state + 1, new_cost, -1);
+            int32_t left = rel_goal - rel - 1;
+            double new_cost;
+            if (reach[place] <= left) {
+                new_cost = cost + base[(int64_t)place * II + nslot];
+                RELAX(state + 1, new_cost, -1);
+            }
             int32_t nrel = rel + 1;
             for (int32_t a = ADJ_OFF[place]; a < ADJ_OFF[place + 1]; a++) {
                 int32_t dst_place = ADJ_DST[a];
                 int32_t move_rid = ADJ_RID[a];
+                if (reach[dst_place] > left) continue;
                 new_cost = cost + base[(int64_t)move_rid * II + cslot]
                     + base[(int64_t)dst_place * II + nslot];
                 RELAX(dst_place * STRIDE + nrel, new_cost, move_rid);
@@ -234,19 +259,24 @@ int64_t route_search(const double *base, const double *hist,
             int64_t next_cycle = cycle + 1;
             int64_t cslot = cycle %% II;
             int64_t nslot = next_cycle %% II;
-            int64_t oidx = (int64_t)place * II + nslot;
-            double occupy_cost;
-            if (n_ch > 0 && ch_at_(ch_keys, ch_off, ch_cyc, n_ch,
-                                   (int32_t)oidx, next_cycle))
-                occupy_cost = 0.0;
-            else
-                occupy_cost = base[oidx] + hist[oidx];
-            double new_cost = cost + occupy_cost;
-            RELAX(state + 1, new_cost, -1);
+            int32_t left = rel_goal - rel - 1;
+            int64_t oidx;
+            double occupy_cost, new_cost;
+            if (reach[place] <= left) {
+                oidx = (int64_t)place * II + nslot;
+                if (n_ch > 0 && ch_at_(ch_keys, ch_off, ch_cyc, n_ch,
+                                       (int32_t)oidx, next_cycle))
+                    occupy_cost = 0.0;
+                else
+                    occupy_cost = base[oidx] + hist[oidx];
+                new_cost = cost + occupy_cost;
+                RELAX(state + 1, new_cost, -1);
+            }
             int32_t nrel = rel + 1;
             for (int32_t a = ADJ_OFF[place]; a < ADJ_OFF[place + 1]; a++) {
                 int32_t dst_place = ADJ_DST[a];
                 int32_t move_rid = ADJ_RID[a];
+                if (reach[dst_place] > left) continue;
                 int64_t midx = (int64_t)move_rid * II + cslot;
                 double move_cost;
                 if (n_ch > 0 && ch_pos_(ch_keys, n_ch, (int32_t)midx) >= 0)
@@ -308,11 +338,13 @@ def route_source(core: RouteCore) -> str:
             adj_rid.append(move_rid)
         adj_off.append(len(adj_dst))
     goal_flat = [rid for row in core.goal_rid for rid in row]
+    reach_flat = [dist for row in core.reach for dist in row]
     tables = "\n".join([
         _int_table("ADJ_OFF", "int32_t", adj_off),
         _int_table("ADJ_DST", "int32_t", adj_dst),
         _int_table("ADJ_RID", "int32_t", adj_rid),
         _int_table("GOAL", "int32_t", goal_flat),
+        _int_table("REACH", "int32_t", reach_flat),
     ])
     return _TEMPLATE % {
         "schema": build.NATIVE_SCHEMA_VERSION,
@@ -327,30 +359,24 @@ def route_source(core: RouteCore) -> str:
 class NativeRouteSearch:
     """Loaded search function plus reusable ctypes call buffers."""
 
-    __slots__ = ("fn", "zero_hist", "out_places", "out_rels", "out_moves",
-                 "out_read", "_empty_i32", "_empty_i64")
+    __slots__ = ("fn", "zero_hist", "params", "start_cost", "out",
+                 "_empty_i32", "_empty_i64")
 
     def __init__(self, lib: ctypes.CDLL, core: RouteCore) -> None:
         fn = lib.route_search
         fn.restype = ctypes.c_int64
         fn.argtypes = [
             ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
-            ctypes.c_int32, ctypes.c_int32,
-            ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int32, ctypes.c_double, ctypes.c_int32,
-            ctypes.c_int64, ctypes.POINTER(ctypes.c_int32),
-            ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_int64),
-            ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_int32),
-            ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_int32),
+            ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_int64),
+            ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_int32),
         ]
         self.fn = fn
         #: All-zero flat history for probe-free / history-free calls.
         self.zero_hist = (ctypes.c_double * (core.n_rids * core.ii))()
-        size = MAX_TRANSPORT_CYCLES + 1
-        self.out_places = (ctypes.c_int32 * size)()
-        self.out_rels = (ctypes.c_int32 * size)()
-        self.out_moves = (ctypes.c_int32 * size)()
-        self.out_read = (ctypes.c_int32 * 1)()
+        self.params = (ctypes.c_int64 * 7)()
+        self.start_cost = (ctypes.c_double * 1)()
+        self.out = (ctypes.c_int32 * (3 * _OUT_SLOTS + 1))()
         self._empty_i32 = (ctypes.c_int32 * 1)()
         self._empty_i64 = (ctypes.c_int64 * 1)()
 
@@ -457,12 +483,12 @@ def route_edge_native(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
 
     probe_free = 1 if (not has_charges and hist is core.zero_hist) else 0
 
-    n = search.fn(base, hist_buf, dst_fu, start_place,
-                  start_cycle, arrive_cycle % ii,
-                  span - 1, start_cost, probe_free,
-                  n_ch, ch_keys, ch_off, ch_cyc,
-                  search.out_places, search.out_rels, search.out_moves,
-                  search.out_read)
+    search.params[:] = (dst_fu, start_place, start_cycle,
+                        arrive_cycle % ii, span - 1, probe_free, n_ch)
+    search.start_cost[0] = start_cost
+    out = search.out
+    n = search.fn(base, hist_buf, search.params, search.start_cost,
+                  ch_keys, ch_off, ch_cyc, out)
     if n < 0:  # heap allocation failure — retreat to the Python search
         return routecore.route_edge_compiled(
             mrrg, core, net, src_fu, depart_cycle, dst_fu, arrive_cycle,
@@ -471,33 +497,31 @@ def route_edge_native(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
         return None
 
     key_of = core.key_of
-    out_places = search.out_places
-    out_rels = search.out_rels
-    out_moves = search.out_moves
+    # RouteStep(kind, resource, cycle) without the NamedTuple
+    # constructor's Python-level frame; each section of the output
+    # buffer is read with one slice rather than per-item ctypes indexing.
+    new_step = tuple.__new__
     steps: list[RouteStep] = []
     places: list[tuple[int, int]] = []
-    for i in range(n):
-        cycle = start_cycle + out_rels[i]
-        move_rid = out_moves[i]
+    slots = _OUT_SLOTS
+    for place, rel, move_rid in zip(out[:n], out[slots:slots + n],
+                                    out[2 * slots:2 * slots + n]):
+        cycle = start_cycle + rel
         if move_rid != -1:
-            steps.append(RouteStep("move", key_of[move_rid], cycle - 1))
-        place = out_places[i]
-        steps.append(RouteStep("occupy", key_of[place], cycle))
+            steps.append(new_step(RouteStep,
+                                  ("move", key_of[move_rid], cycle - 1)))
+        steps.append(new_step(RouteStep, ("occupy", key_of[place], cycle)))
         places.append((place, cycle))
 
-    read = search.out_read[0]
+    read = out[3 * slots]
     if read != -2:
-        steps.append(RouteStep("read", key_of[read], arrive_cycle))
+        steps.append(new_step(RouteStep,
+                              ("read", key_of[read], arrive_cycle)))
 
-    route = Route(
-        net=net,
-        steps=tuple(steps),
-        src_fu=src_fu,
-        dst_fu=dst_fu,
-        depart_cycle=depart_cycle,
-        arrive_cycle=arrive_cycle,
-        places=tuple(places),
-    )
+    # Positional Route(net, steps, src_fu, dst_fu, depart_cycle,
+    # arrive_cycle, places): keywords cost more.
+    route = Route(net, tuple(steps), src_fu, dst_fu, depart_cycle,
+                  arrive_cycle, tuple(places))
     if commit:
         mrrg.commit_route(route)
     return route

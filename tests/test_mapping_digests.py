@@ -27,9 +27,9 @@ from repro.workloads import get_dfg
 FIXTURE = Path(__file__).parent / "data" / "mapping_digests.json"
 
 #: (workload, arch key, mapper key).  The Plaid cells include a Plaid-ML
-#: fabric (``plaid-ml``) and cells that escalate past their minimum II
-#: (``gemm_u2``, ``gesum_u2``); the ``st`` cells cover both list-scheduled
-#: placers.
+#: fabric (``plaid-ml``), Figure 17's 3x3 fabric (``plaid3x3``) and cells
+#: that escalate past their minimum II (``gemm_u2``, ``gesum_u2``); the
+#: ``st`` cells cover both list-scheduled placers.
 CELLS = [
     ("gemm_u2", "plaid", "plaid"),
     ("gesum_u2", "plaid", "plaid"),
@@ -41,6 +41,8 @@ CELLS = [
     ("conv3x3", "plaid", "plaid"),
     ("jacobi_u4", "plaid", "plaid"),
     ("atax_u2", "plaid-ml", "plaid"),
+    ("gemm_u4", "plaid3x3", "plaid"),
+    ("seidel_u2", "plaid3x3", "plaid"),
     ("atax_u4", "st", "pathfinder"),
     ("gemm_u4", "st", "pathfinder"),
     ("atax_u4", "st", "sa"),

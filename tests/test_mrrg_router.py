@@ -376,3 +376,57 @@ def test_commit_uncommit_roundtrips_exactly(src, dst, slack, ii, preload,
         assert _state_snapshot(mrrg) == state
     finally:
         routecore.set_routing_engine(previous)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**20), ii=st.sampled_from([2, 3, 5]),
+       plaid=st.booleans())
+def test_bound_commit_keeps_bookkeeping_order(seed, ii, plaid):
+    """The bound commit path (one plan loop per route) and the per-step
+    path of an unbound MRRG leave the same dicts, insertion order
+    included, under any interleaving of commits and uncommits; the
+    bound graph's flat arrays equal a fresh bind_core rebuild."""
+    import random
+
+    rng = random.Random(seed)
+    arch = make_plaid(2, 2) if plaid else make_spatio_temporal()
+    n_fus = len(arch.fus)
+    scratch = MRRG(arch, ii)
+    core = routecore.ensure_core(scratch)
+    # Candidate routes from the compiled core (plans built during the
+    # search); a few nets with a fixed producer, so fanout segments
+    # are shared and refcounted.
+    routes = []
+    for net in range(4):
+        src, depart = rng.randrange(n_fus), rng.randrange(3)
+        for _ in range(4):
+            dst = rng.randrange(n_fus)
+            arrive = depart + min_transport_latency(arch, src, dst) \
+                + rng.randrange(4)
+            route = routecore.route_edge_compiled(
+                scratch, core, net, src, depart, dst, arrive,
+                core.zero_hist, False)
+            if route is not None:
+                routes.append(route)
+    bound = MRRG(arch, ii)
+    bound.bind_core(core)
+    unbound = MRRG(arch, ii)
+    committed = []
+    for _ in range(40):
+        if committed and rng.random() < 0.4:
+            route = committed.pop(rng.randrange(len(committed)))
+            bound.uncommit_route(route)
+            unbound.uncommit_route(route)
+        elif routes:
+            route = rng.choice(routes)
+            committed.append(route)
+            bound.commit_route(route)
+            unbound.commit_route(route)
+        assert list(bound._usage) == list(unbound._usage)
+        assert list(bound._counts.items()) == list(unbound._counts.items())
+        assert list(bound._overused) == list(unbound._overused)
+        assert bound.total_overuse() == unbound.total_overuse()
+    assert _state_snapshot(bound)[0] == _state_snapshot(unbound)[0]
+    unbound.bind_core(core)
+    assert list(bound._cost_base) == unbound._cost_base
+    assert bound._net_charges == unbound._net_charges

@@ -90,13 +90,25 @@ def test_compiled_matches_reference_empty_fabric(src, dst, slack, ii,
     _assert_same_route(got, want)
 
 
+def _assert_compiled_plan(mrrg, route):
+    """A compiled route carries, from construction, exactly the charge
+    plan MRRG._charge_plan derives from its steps."""
+    if route is not None:
+        assert route.charge_plan is not None
+        assert route.charge_plan == mrrg._charge_plan(route)
+
+
 @settings(deadline=None, max_examples=25,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**20), ii=st.sampled_from([2, 4]),
        plaid=st.booleans())
 def test_compiled_matches_reference_congested(seed, ii, plaid):
     """Random committed routes (congestion + fanout sharing + history),
-    then every further routing request must agree between engines."""
+    then every further routing request must agree between engines.
+
+    Slacks reach 8 cycles, so the push-time reach prune fires; requests
+    with the shared zero history on nets that already hold charges take
+    the charged loop without history reads."""
     import random
 
     arch = make_plaid(2, 2) if plaid else make_spatio_temporal(4, 4)
@@ -114,30 +126,77 @@ def test_compiled_matches_reference_congested(seed, ii, plaid):
         src, dst = rng.randrange(n_fus), rng.randrange(n_fus)
         depart = rng.randrange(4)
         arrive = depart + min_transport_latency(arch, src, dst) \
-            + rng.randrange(3)
+            + rng.randrange(9)
+        if rng.random() < 0.5:
+            hist, ref_history = history.array, history
+        else:
+            hist, ref_history = core.zero_hist, None
         got = routecore.route_edge_compiled(
-            compiled, core, net, src, depart, dst, arrive,
-            history.array, True)
+            compiled, core, net, src, depart, dst, arrive, hist, True)
         want = route_edge_reference(reference, net, src, depart, dst,
-                                    arrive, history, commit=True)
+                                    arrive, ref_history, commit=True)
         _assert_same_route(got, want)
+        _assert_compiled_plan(compiled, got)
         if rng.random() < 0.3:
             for resource, slot, used, cap in reference.overuse()[:2]:
                 history.add(resource, slot, 2.0 * (used - cap))
     assert compiled.occupancy_snapshot() == reference.occupancy_snapshot()
     assert compiled.overuse() == reference.overuse()
 
-    # Now probe a grid of fresh requests against the congested state.
+    # Now probe a grid of fresh requests against the congested state:
+    # nets 0-2 hold charges, net 7 does not; each request is made with
+    # the negotiation history and with none (the shared zero array).
     for src in range(0, n_fus, 3):
         for dst in range(0, n_fus, 2):
             for net in (0, 7):
-                arrive = min_transport_latency(arch, src, dst) + 1
-                got = routecore.route_edge_compiled(
-                    compiled, core, net, src, 0, dst, arrive,
-                    history.array, False)
-                want = route_edge_reference(reference, net, src, 0, dst,
-                                            arrive, history, commit=False)
-                _assert_same_route(got, want)
+                depart = rng.randrange(3)
+                arrive = depart + min_transport_latency(arch, src, dst) \
+                    + rng.randrange(9)
+                for hist, ref_history in ((history.array, history),
+                                          (core.zero_hist, None)):
+                    got = routecore.route_edge_compiled(
+                        compiled, core, net, src, depart, dst, arrive,
+                        hist, False)
+                    want = route_edge_reference(
+                        reference, net, src, depart, dst, arrive,
+                        ref_history, commit=False)
+                    _assert_same_route(got, want)
+                    _assert_compiled_plan(compiled, got)
+
+
+REACH_FABRICS = [
+    ("st4x4", lambda: make_spatio_temporal(4, 4)),
+    ("st6x6", lambda: make_spatio_temporal(6, 6)),
+    ("plaid", lambda: make_plaid(2, 2)),
+    ("plaid3x3", lambda: make_plaid(3, 3)),
+]
+
+
+@pytest.mark.parametrize("name,factory", REACH_FABRICS,
+                         ids=[name for name, _ in REACH_FABRICS])
+def test_reach_matches_brute_force_bfs(name, factory):
+    """reach[fu][place] is the BFS distance over arch.moves from the
+    place to one of the FU's consume places, or the sentinel."""
+    arch = factory()
+    core = routecore.route_core_for(arch, 3)
+    successors = {place.place_id: [] for place in arch.places}
+    for move in arch.moves:
+        successors[move.src].append(move.dst)
+    for fu in arch.fus:
+        goals = set(arch.consume_places[fu.fu_id])
+        for start in successors:
+            distance, frontier, seen = 0, [start], {start}
+            found = None
+            while frontier:
+                if goals.intersection(frontier):
+                    found = distance
+                    break
+                distance += 1
+                frontier = [dst for src in frontier
+                            for dst in successors[src] if dst not in seen]
+                seen.update(frontier)
+            want = routecore.UNREACHABLE if found is None else found
+            assert core.reach[fu.fu_id][start] == want, (name, fu, start)
 
 
 # ---------------------------------------------------------------------------
